@@ -231,6 +231,9 @@ fn main() {
         out.skip.skip_jumps,
         out.skip.total_idle_cycles()
     );
+    // Which shadow-check tier retired the lanes; like `fast-fwd`, the one
+    // line that differs between a default and a forced-scalar run.
+    println!("tiers     : shared {} | global {}", out.tiers.shared, out.tiers.global);
     println!("max IDs   : sync {}, fence {}", out.max_sync_id, out.max_fence_id);
     println!("shadow mem: {} bytes packed over {} tracked", out.shadow_packed_bytes, out.tracked_bytes);
     println!("races     : {} distinct ({} dynamic)", out.races.distinct(), out.races.total());

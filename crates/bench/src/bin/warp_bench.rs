@@ -24,10 +24,10 @@
 //! columns per scenario:
 //!
 //! - **`ns_per_warp`** (simd) — `check_warp_batch` with the wide SWAR
-//!   shadow tier engaged (SoA hot-word screens + batched lockset path);
+//!   shadow tier engaged (packed hot slots + batched lockset path);
 //! - **`batch_ns_per_warp`** — the same batch entry point pinned to the
 //!   per-lane reference path via `set_force_scalar(true)` (the previous
-//!   vectorized tier, without the SWAR screen);
+//!   vectorized tier, without the wide tier);
 //! - **`scalar_ns_per_warp`** — the pre-batch scalar pipeline
 //!   (`check_warp_stores` + per-lane `observe`).
 //!

@@ -57,15 +57,14 @@ pub fn check_intra_warp_waw_into(
 /// overlap, so the exact check would report nothing. Conservative — a
 /// `false` only means "possible overlap, run the exact comparison".
 ///
-/// The write footprint `[min, max_end)` is mapped onto a 2048-bit window
-/// at the smallest power-of-two chunk size (≥4 bytes) that fits; each
-/// lane sets the bits of the chunks it touches, and a set-bit collision
-/// (two lanes in one chunk) falls back to the exact path. At 4-byte
-/// chunks the screen is within one word of byte-exact; wider spans use
-/// coarser chunks, trading a rare false fallback for O(lanes) screening
-/// of arbitrarily scattered warps.
+/// The write footprint `[min, max_end)` is mapped onto a 4096-bit window,
+/// one bit per byte whenever the footprint spans at most 4 KiB (HIST's
+/// byte counters, four lanes to a word, prove disjoint here), else at the
+/// smallest power-of-two chunk size that fits. Each lane sets the bits of
+/// the bytes (chunks) it touches, and a set-bit collision — two lanes on
+/// one byte, or one coarse chunk — falls back to the exact path.
 fn writes_provably_disjoint(lanes: &[MemAccess], base: u32) -> bool {
-    const WINDOW_BITS: u32 = 2048;
+    const WINDOW_BITS: u32 = 4096;
     // Ascending non-overlapping lanes (the coalescer's natural order)
     // are proven disjoint in this single pass: intervals sorted by start
     // with consecutive pairs disjoint are pairwise disjoint.
@@ -94,8 +93,8 @@ fn writes_provably_disjoint(lanes: &[MemAccess], base: u32) -> bool {
         max_end = max_end.max(a.addr + u32::from(a.size.max(1)));
     }
     let span = max_end - min;
-    let mut shift = 2u32;
-    while (span >> shift) >= WINDOW_BITS {
+    let mut shift = 0u32;
+    while ((span - 1) >> shift) >= WINDOW_BITS {
         shift += 1;
     }
     let mut occ = [0u64; (WINDOW_BITS / 64) as usize];
@@ -105,12 +104,21 @@ fn writes_provably_disjoint(lanes: &[MemAccess], base: u32) -> bool {
         }
         let lo = (a.addr - min) >> shift;
         let hi = (a.addr - min + u32::from(a.size.max(1)) - 1) >> shift;
-        for c in lo..=hi {
-            let (w, b) = ((c / 64) as usize, c % 64);
-            if occ[w] & (1 << b) != 0 {
+        let mut w = lo / 64;
+        let mut first = lo % 64;
+        loop {
+            let last = if w == hi / 64 { hi % 64 } else { 63 };
+            let bits = (u64::MAX >> (63 - last)) & (u64::MAX << first);
+            let word = &mut occ[(w % (WINDOW_BITS / 64)) as usize];
+            if *word & bits != 0 {
                 return false;
             }
-            occ[w] |= 1 << b;
+            *word |= bits;
+            if w == hi / 64 {
+                break;
+            }
+            w += 1;
+            first = 0;
         }
     }
     true
@@ -276,6 +284,50 @@ mod tests {
         // Untracked lanes below base are invisible to both paths.
         let below = vec![lane_store(8, 4, 0, 0, 0), lane_store(8, 4, 1, 0, 0)];
         assert_into_matches(&below, 0x100, MemSpace::Global);
+    }
+
+    /// HIST's shared store shape: 32 byte counters, four lanes to a word
+    /// (lanes `4k..4k+3` hit bin `bins[k]`), scattered over a 4 KiB row
+    /// span in non-ascending order.
+    fn hist_bytes(bins: [u32; 8]) -> Vec<MemAccess> {
+        (0..32).map(|l| lane_store(bins[l as usize / 4] * 64 + l, 1, l, 0, 0x30)).collect()
+    }
+
+    #[test]
+    fn hist_byte_stores_are_screened_byte_exact() {
+        let lanes = hist_bytes([63, 0, 31, 5, 17, 44, 2, 60]);
+        let span = lanes.iter().map(|a| a.addr).max().unwrap() + 1;
+        assert!(span > 4000 && span <= 4096, "a 4 KiB footprint, got {span}");
+        // Proven disjoint by the screen itself — no pairwise fallback.
+        assert!(writes_provably_disjoint(&lanes, 0));
+        assert_into_matches(&lanes, 0, MemSpace::Shared);
+        // The window's extreme bytes still resolve individually.
+        let edges = vec![lane_store(4095, 1, 0, 0, 0), lane_store(0, 1, 1, 0, 0), lane_store(1, 1, 2, 0, 0)];
+        assert!(writes_provably_disjoint(&edges, 0));
+    }
+
+    #[test]
+    fn hist_same_byte_pair_is_reported_exactly_once() {
+        let mut lanes = hist_bytes([63, 0, 31, 5, 17, 44, 2, 60]);
+        // Lane 9 lands on lane 8's byte.
+        lanes[9].addr = lanes[8].addr;
+        assert!(!writes_provably_disjoint(&lanes, 0), "a shared byte must fall back");
+        let races = check_intra_warp_waw(&lanes, 0, MemSpace::Shared);
+        assert_eq!(races.len(), 1);
+        assert_eq!(races[0].addr, lanes[8].addr);
+        assert_eq!((races[0].prev.tid, races[0].cur.tid), (8, 9));
+        assert_into_matches(&lanes, 0, MemSpace::Shared);
+    }
+
+    #[test]
+    fn wide_footprints_fall_back_to_coarse_chunks() {
+        // Past 4 KiB the screen coarsens: distinct words in one 2-byte
+        // chunk need the exact path, which stays silent.
+        let lanes = vec![lane_store(8192, 1, 0, 0, 0), lane_store(1, 1, 1, 0, 0), lane_store(0, 1, 2, 0, 0)];
+        assert!(!writes_provably_disjoint(&lanes, 0));
+        assert_into_matches(&lanes, 0, MemSpace::Global);
+        let spread: Vec<_> = (0..32).rev().map(|l| lane_store(l * 4096, 4, l, 0, 0)).collect();
+        assert!(writes_provably_disjoint(&spread, 0));
     }
 
     #[test]

@@ -484,12 +484,12 @@ impl ShadowEntry {
     /// Batched-lockset fast path for critical-section lanes in the batch
     /// pipeline (§III-B verdicts without the `#[cold]` scalar fallback).
     ///
-    /// The caller has already established the cold-dispatch preamble of
-    /// `observe_health`: the access is tracked, the entry is not fresh,
-    /// the lane is CS-related (`a.in_critical_section || self.protected`)
-    /// and no sync-ID epoch reopen applies. This method is
-    /// **all-or-nothing**: every check that can still route the lane to
-    /// the scalar path runs *before* any counter or mutation, so a `None`
+    /// Only lanes past the dispatch preamble of `observe_health` qualify:
+    /// the access is tracked, the entry is not fresh, the lane is
+    /// CS-related (`a.in_critical_section || self.protected`) and no
+    /// sync-ID epoch reopen applies; anything else returns `None`. This
+    /// method is **all-or-nothing**: every check that can still route the
+    /// lane to the scalar path runs *before* any counter or mutation, so a `None`
     /// return leaves the entry and health bit-identical for the fallback
     /// to replay from scratch. It returns `None` for every outcome the
     /// scalar path handles specially — a race verdict, the Fig. 2(b)
@@ -514,8 +514,13 @@ impl ShadowEntry {
         count_truncation: bool,
         bloom_memo: &mut Option<(u32, u32, bool)>,
     ) -> Option<bool> {
-        debug_assert!(a.kind.is_tracked() && !self.is_fresh());
-        debug_assert!(a.in_critical_section || self.protected);
+        if !a.kind.is_tracked()
+            || self.is_fresh()
+            || !(a.in_critical_section || self.protected)
+            || (p.sync_id_epochs && a.who.block == self.block && a.sync_id != self.sync_id)
+        {
+            return None;
+        }
         let is_write = a.kind.is_write();
         let truncated = count_truncation
             && crate::packed::id_truncation_collision(self, &a.who);

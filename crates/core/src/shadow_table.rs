@@ -30,50 +30,73 @@ use crate::health::DetectorHealth;
 use crate::hotwords;
 use crate::shadow::{ShadowEntry, FRESH};
 
-/// Entries per shadow page. 128 × ~48 bytes ≈ 6 KiB per page keeps the
-/// page-pointer vector tiny (8 bytes per page) while amortizing the
-/// allocation over many chunks.
+/// Entries per shadow page. 128 entries keep the page-pointer vector
+/// tiny (8 bytes per page) while amortizing the allocation over many
+/// chunks.
 pub const PAGE_ENTRIES: usize = 128;
+
+/// One entry's hot record: its epoch stamp and the three packed
+/// [`crate::hotwords`] words, colocated so a wide-tier lane reads and
+/// writes exactly one 32-byte slot — never the ~64-byte AoS entry.
+#[derive(Clone, Copy, Debug)]
+#[repr(C, align(32))]
+struct HotSlot {
+    /// Packed per-lane identity (`tid | warp << 32`).
+    h0: u64,
+    /// Packed warp-uniform identity + state flags.
+    h1: u64,
+    /// Packed store-elision word (`fence | pc | write_cycle`).
+    h2: u64,
+    /// Generation the entry was last initialized under. The entry is
+    /// live only while this matches the page generation.
+    stamp: u32,
+}
+
+impl HotSlot {
+    /// A fresh, detached slot stamped with `stamp`.
+    const fn fresh(stamp: u32) -> Self {
+        Self {
+            h0: hotwords::FRESH_H0,
+            h1: hotwords::FRESH_H1 | hotwords::H1_DETACHED,
+            h2: hotwords::FRESH_H2,
+            stamp,
+        }
+    }
+
+    fn detached(&self) -> bool {
+        self.h1 & hotwords::H1_DETACHED != 0
+    }
+}
 
 /// One materialized shadow page.
 ///
-/// Besides the AoS `entries` (always authoritative — serde, witness
-/// capture and the cold path read it directly), each page carries the
-/// SoA *hot words* of [`crate::hotwords`]: three parallel `u64` arrays
-/// holding the packed fast-path bail predicate (`hot0`/`hot1`) and the
-/// store-elision fields (`hot2`) per entry. The batch pipeline screens a
-/// whole lane run against these with wide compares instead of walking
-/// the ~64-byte entries. The arrays are a cache: any `&mut ShadowEntry`
-/// handed out through the scalar accessors clears `hot_valid`, and the
-/// next batch run lazily repacks the page.
+/// Each entry lives in one of two forms, told apart by
+/// [`hotwords::H1_DETACHED`] in its hot slot:
+///
+/// * **detached** — the hot words are the entry (lock fields empty) and
+///   the AoS `entries[o]` is stale. The wide tier creates and keeps
+///   entries in this form without touching the AoS array at all — a
+///   page whose entries never leave this form never allocates it.
+/// * **attached** — the AoS entry is authoritative and the hot words
+///   mirror it. An accessor that hands out a `&mut ShadowEntry` attaches
+///   the entry first (unpacking the words into it) and poisons the
+///   words, so the wide tier sends the slot cold until a cold-path
+///   repack re-derives them from whatever the caller wrote.
 #[derive(Clone, Debug)]
 struct ShadowPage {
-    /// Current epoch. An entry is live only while `stamps[i]` matches.
+    /// Current epoch.
     generation: u32,
-    /// Generation each entry was last initialized under.
-    stamps: [u32; PAGE_ENTRIES],
-    entries: [ShadowEntry; PAGE_ENTRIES],
-    /// Packed per-lane identity (`tid | warp << 32`) per entry.
-    hot0: [u64; PAGE_ENTRIES],
-    /// Packed warp-uniform identity + state flags per entry.
-    hot1: [u64; PAGE_ENTRIES],
-    /// Packed store-elision word (`fence | pc | write_cycle`) per entry.
-    hot2: [u64; PAGE_ENTRIES],
-    /// Whether the hot arrays mirror `entries`. Cleared whenever a raw
-    /// `&mut ShadowEntry` escapes; restored by [`PageEntries::ensure_hot`].
-    hot_valid: bool,
+    slots: [HotSlot; PAGE_ENTRIES],
+    /// AoS entries, allocated on the page's first attach.
+    entries: Option<Box<[ShadowEntry; PAGE_ENTRIES]>>,
 }
 
 impl Default for ShadowPage {
     fn default() -> Self {
         Self {
             generation: 0,
-            stamps: [0; PAGE_ENTRIES],
-            entries: [FRESH; PAGE_ENTRIES],
-            hot0: [hotwords::FRESH_H0; PAGE_ENTRIES],
-            hot1: [hotwords::FRESH_H1; PAGE_ENTRIES],
-            hot2: [hotwords::FRESH_H2; PAGE_ENTRIES],
-            hot_valid: true,
+            slots: [HotSlot::fresh(0); PAGE_ENTRIES],
+            entries: None,
         }
     }
 }
@@ -86,61 +109,6 @@ impl ShadowPage {
         *self = Self::default();
     }
 
-    /// Recompute the hot words of entry `o` from its AoS view.
-    #[inline]
-    fn repack(&mut self, o: usize) {
-        let e = &self.entries[o];
-        self.hot0[o] = hotwords::pack_h0(e);
-        self.hot1[o] = hotwords::pack_h1(e);
-        self.hot2[o] = hotwords::pack_h2(e.fence_id, e.write_cycle, e.pc);
-    }
-
-    /// Apply a screened-pass *write* lane at slot `o` entirely through
-    /// the hot words: `ReadSingle -> Written` promotion, or store elision
-    /// against the packed `h2` word for an already-`Written` entry.
-    /// Returns whether the entry changed — exactly the `*entry != before`
-    /// the scalar path computes, because `h2` equality is exact for
-    /// packable fields and unpackable ones fall back to the AoS compare.
-    #[inline]
-    fn fast_write_at(&mut self, o: usize, a: &MemAccess, h1: u64) -> bool {
-        if h1 & hotwords::H1_MODIFIED != 0 {
-            // Written + write: the steady store-elision state.
-            let k2 = hotwords::key2(a.fence_id, a.cycle, a.pc);
-            if self.hot2[o] == k2 {
-                return false;
-            }
-            if (self.hot2[o] | k2) & hotwords::H2_POISON_BIT != 0 {
-                // One side is unpackable: decide on the exact fields.
-                let e = &mut self.entries[o];
-                let changed =
-                    e.fence_id != a.fence_id || e.write_cycle != a.cycle || e.pc != a.pc;
-                if changed {
-                    e.fence_id = a.fence_id;
-                    e.write_cycle = a.cycle;
-                    e.pc = a.pc;
-                    self.hot2[o] = hotwords::pack_h2(a.fence_id, a.cycle, a.pc);
-                }
-                return changed;
-            }
-            let e = &mut self.entries[o];
-            e.fence_id = a.fence_id;
-            e.write_cycle = a.cycle;
-            e.pc = a.pc;
-            self.hot2[o] = k2;
-            true
-        } else {
-            // ReadSingle + same-thread write: promote to Written.
-            let e = &mut self.entries[o];
-            e.modified = true;
-            e.fence_id = a.fence_id;
-            e.write_cycle = a.cycle;
-            e.pc = a.pc;
-            self.hot1[o] |= hotwords::H1_MODIFIED;
-            self.hot2[o] = hotwords::pack_h2(a.fence_id, a.cycle, a.pc);
-            true
-        }
-    }
-
     /// Bump the epoch, invalidating every entry lazily.
     fn bump(&mut self) {
         if self.generation == u32::MAX {
@@ -149,6 +117,108 @@ impl ShadowPage {
             self.generation += 1;
         }
     }
+
+    /// Re-initialize slot `o` as fresh if its stamp is stale, counting
+    /// the lazy reset into `h`.
+    #[inline(always)]
+    fn restamp(&mut self, o: usize, h: &mut DetectorHealth) {
+        if self.slots[o].stamp != self.generation {
+            h.shadow_fresh_on_mismatch += 1;
+            self.slots[o] = HotSlot::fresh(self.generation);
+        }
+    }
+
+    /// The entry at live slot `o`, by value.
+    fn load(&self, o: usize) -> ShadowEntry {
+        let s = &self.slots[o];
+        match &self.entries {
+            Some(entries) if !s.detached() => entries[o],
+            _ => hotwords::unpack(s.h0, s.h1, s.h2),
+        }
+    }
+
+    /// Make the AoS entry at live slot `o` authoritative. With `escape`
+    /// the caller may mutate it arbitrarily, so its words are poisoned
+    /// until a cold-path repack re-derives them.
+    #[inline]
+    fn attach(&mut self, o: usize, escape: bool) -> &mut ShadowEntry {
+        let s = &mut self.slots[o];
+        let entries = self.entries.get_or_insert_with(new_entries);
+        if s.detached() {
+            entries[o] = hotwords::unpack(s.h0, s.h1, s.h2);
+            s.h1 &= !hotwords::H1_DETACHED;
+        }
+        if escape {
+            s.h1 |= hotwords::H1_ENTRY_POISON;
+        }
+        &mut entries[o]
+    }
+
+    /// Recompute the hot words of attached entry `o` from its AoS view.
+    #[inline]
+    fn repack(&mut self, o: usize) {
+        let Some(entries) = &self.entries else { return };
+        let e = &entries[o];
+        let s = &mut self.slots[o];
+        s.h0 = hotwords::pack_h0(e);
+        s.h1 = hotwords::pack_h1(e);
+        s.h2 = hotwords::pack_h2(e.fence_id, e.write_cycle, e.pc);
+    }
+
+    /// Store a wide-tier post-state into slot `o`. Returns whether the
+    /// entry changed — exactly the `*entry != before` the scalar path
+    /// computes, because unpoisoned words are lossless and the wide tier
+    /// only leaves lock fields alone or (re-opening, detached) empties
+    /// them along with a flag change. An attached entry is written
+    /// through word by word, so a poisoned word it keeps stays exact.
+    #[inline(always)]
+    fn commit(&mut self, o: usize, w: &hotwords::WideWords) -> bool {
+        let s = &mut self.slots[o];
+        let (c0, c1, c2) = (s.h0 != w.h0, (s.h1 ^ w.h1) & !hotwords::H1_DETACHED != 0, s.h2 != w.h2);
+        if !(c0 | c1 | c2) {
+            return false;
+        }
+        if let (0, Some(entries)) = (w.h1 & hotwords::H1_DETACHED, &mut self.entries) {
+            let e = &mut entries[o];
+            let n = hotwords::unpack(w.h0, w.h1, if c2 { w.h2 } else { 0 });
+            if c0 {
+                e.tid = n.tid;
+                e.warp = n.warp;
+            }
+            if c1 {
+                e.modified = n.modified;
+                e.shared = n.shared;
+                e.block = n.block;
+                e.sm = n.sm;
+                e.sync_id = n.sync_id;
+                e.protected = n.protected;
+            }
+            if c2 {
+                e.fence_id = n.fence_id;
+                e.write_cycle = n.write_cycle;
+                e.pc = n.pc;
+            }
+        }
+        s.h0 = w.h0;
+        s.h1 = w.h1;
+        s.h2 = w.h2;
+        true
+    }
+}
+
+/// A fresh page, built out of line: the 4 KiB page must not inflate the
+/// hot callers' stack frames.
+#[cold]
+#[inline(never)]
+fn new_page() -> Box<ShadowPage> {
+    Box::default()
+}
+
+/// A page's AoS entries, built out of line like [`new_page`].
+#[cold]
+#[inline(never)]
+fn new_entries() -> Box<[ShadowEntry; PAGE_ENTRIES]> {
+    Box::new([FRESH; PAGE_ENTRIES])
 }
 
 /// Demand-paged table of [`ShadowEntry`]s with epoch-stamped invalidation.
@@ -188,8 +258,8 @@ impl ShadowTable {
     pub fn get(&self, idx: usize) -> ShadowEntry {
         debug_assert!(idx < self.num_entries, "shadow index out of range");
         match &self.pages[idx / PAGE_ENTRIES] {
-            Some(p) if p.stamps[idx % PAGE_ENTRIES] == p.generation => {
-                p.entries[idx % PAGE_ENTRIES]
+            Some(p) if p.slots[idx % PAGE_ENTRIES].stamp == p.generation => {
+                p.load(idx % PAGE_ENTRIES)
             }
             _ => FRESH,
         }
@@ -206,57 +276,83 @@ impl ShadowTable {
     /// materializations (occupancy gauge) and lazy fresh-on-mismatch
     /// re-initializations into `h`.
     pub fn get_mut_counted(&mut self, idx: usize, h: &mut DetectorHealth) -> &mut ShadowEntry {
+        let o = idx % PAGE_ENTRIES;
+        let page = self.page_mut(idx, h);
+        page.restamp(o, h);
+        page.attach(o, true)
+    }
+
+    /// The page holding entry `idx`, materialized (and counted into `h`)
+    /// on first touch.
+    #[inline(always)]
+    fn page_mut(&mut self, idx: usize, h: &mut DetectorHealth) -> &mut ShadowPage {
         debug_assert!(idx < self.num_entries, "shadow index out of range");
         let slot = &mut self.pages[idx / PAGE_ENTRIES];
         if slot.is_none() {
             h.shadow_pages_allocated += 1;
+            *slot = Some(new_page());
         }
-        let page = slot.get_or_insert_with(Default::default);
-        let o = idx % PAGE_ENTRIES;
-        if page.stamps[o] != page.generation {
-            h.shadow_fresh_on_mismatch += 1;
-            page.stamps[o] = page.generation;
-            page.entries[o] = FRESH;
-        }
-        // The caller may mutate the entry arbitrarily through the
-        // returned reference; the hot-word mirror is repacked lazily by
-        // the next batch run.
-        page.hot_valid = false;
-        &mut page.entries[o]
+        slot.as_deref_mut().expect("page materialized above")
     }
 
-    /// Page index of entry `idx` — the grouping key batch checks use to
-    /// form contiguous same-page runs.
-    #[inline]
-    pub fn page_of(idx: usize) -> usize {
-        idx / PAGE_ENTRIES
-    }
-
-    /// Resolve the page containing entry `idx` once — materializing it
-    /// with the same allocation accounting as [`Self::get_mut_counted`] —
-    /// and run `f` against it. Batch-check entry point: callers group a
-    /// warp's consecutive same-page accesses and amortize the page lookup
-    /// over the whole run instead of paying it per chunk. The health
-    /// counter is lent back into the closure so entry resolution and
-    /// state-machine accounting share one accumulator.
-    pub fn with_page<R>(
+    /// The wide tier for one single-chunk lane: page resolution (counted
+    /// like [`Self::get_mut_counted`]), stamp-check, and the
+    /// [`hotwords::wide_step`] transition, all on the entry's 32-byte hot
+    /// slot. Returns `Some(changed)` when the lane was retired — exactly
+    /// the scalar path's outcome, truncated-ID collisions counted into
+    /// `h` — or `None` for a cold lane, left stamped for
+    /// [`Self::cold_entry`]. Each lane reads the *current* words at its
+    /// own turn, so lanes observe earlier cold-lane mutations exactly as
+    /// the scalar pipeline would.
+    #[inline(always)]
+    pub fn wide_lane(
         &mut self,
         idx: usize,
+        a: &MemAccess,
+        r: &hotwords::WideRules,
         h: &mut DetectorHealth,
-        f: impl FnOnce(&mut PageEntries<'_>, &mut DetectorHealth) -> R,
-    ) -> R {
-        debug_assert!(idx < self.num_entries, "shadow index out of range");
-        let pi = idx / PAGE_ENTRIES;
-        let slot = &mut self.pages[pi];
-        if slot.is_none() {
-            h.shadow_pages_allocated += 1;
+    ) -> Option<bool> {
+        let o = idx % PAGE_ENTRIES;
+        let p = self.page_mut(idx, h);
+        p.restamp(o, h);
+        if !a.kind.is_tracked() {
+            // Untracked (atomic) lanes retire untouched, mirroring the
+            // scalar early return.
+            return Some(false);
         }
-        let page = slot.get_or_insert_with(Default::default);
-        f(&mut PageEntries { page, base: pi * PAGE_ENTRIES }, h)
+        let k0 = hotwords::key0(&a.who);
+        let k1 = hotwords::key1(&a.who, a.sync_id, a.in_critical_section);
+        let s = p.slots[o];
+        let w = hotwords::wide_step(s.h0, s.h1, s.h2, a, k0, k1, r)?;
+        if w.truncated {
+            h.id_truncation_collisions += 1;
+        }
+        if (w.h0, w.h1, w.h2) == (s.h0, s.h1, s.h2) {
+            return Some(false);
+        }
+        Some(p.commit(o, &w))
+    }
+
+    /// The attached entry of a lane [`Self::wide_lane`] left cold
+    /// (no stamp check, no counting). The caller runs the cold path on it
+    /// and then calls [`Self::repack_entry`].
+    pub fn cold_entry(&mut self, idx: usize) -> &mut ShadowEntry {
+        let o = idx % PAGE_ENTRIES;
+        let page = self.pages[idx / PAGE_ENTRIES].as_deref_mut().expect("cold lane on an absent page");
+        debug_assert_eq!(page.slots[o].stamp, page.generation, "cold lane not stamped");
+        page.attach(o, false)
+    }
+
+    /// Re-derive entry `idx`'s hot words from its attached AoS entry
+    /// after a cold-path mutation.
+    pub fn repack_entry(&mut self, idx: usize) {
+        if let Some(page) = self.pages[idx / PAGE_ENTRIES].as_deref_mut() {
+            page.repack(idx % PAGE_ENTRIES);
+        }
     }
 
     /// Invalidate entries in the half-open range `[first, last)`:
-    /// generation bump for fully-covered pages, an entry walk for partial
+    /// generation bump for fully-covered pages, a slot walk for partial
     /// boundary pages, nothing at all for pages never materialized.
     pub fn reset_range(&mut self, first: usize, last: usize) {
         let first = first.min(self.num_entries);
@@ -276,13 +372,8 @@ impl ShadowTable {
             if lo == 0 && hi == PAGE_ENTRIES {
                 page.bump();
             } else {
-                for o in lo..hi {
-                    page.stamps[o] = page.generation;
-                    page.entries[o] = FRESH;
-                    page.hot0[o] = hotwords::FRESH_H0;
-                    page.hot1[o] = hotwords::FRESH_H1;
-                    page.hot2[o] = hotwords::FRESH_H2;
-                }
+                let fresh = HotSlot::fresh(page.generation);
+                page.slots[lo..hi].fill(fresh);
             }
         }
     }
@@ -301,7 +392,7 @@ impl ShadowTable {
     /// manufacture stale stamps and near-wraparound epochs directly.
     #[doc(hidden)]
     pub fn force_generation(&mut self, idx: usize, generation: u32) {
-        let page = self.pages[idx / PAGE_ENTRIES].get_or_insert_with(Default::default);
+        let page = self.pages[idx / PAGE_ENTRIES].get_or_insert_with(new_page);
         page.generation = generation;
     }
 
@@ -311,150 +402,6 @@ impl ShadowTable {
     pub fn generation_of(&self, idx: usize) -> Option<u32> {
         self.pages[idx / PAGE_ENTRIES].as_deref().map(|p| p.generation)
     }
-}
-
-/// Mutable view of one materialized shadow page, handed out by
-/// [`ShadowTable::with_page`]. Entry resolution performs the identical
-/// lazy fresh-on-mismatch restamping (and fidelity accounting) as
-/// [`ShadowTable::get_mut_counted`], minus the per-chunk page lookup.
-pub struct PageEntries<'a> {
-    page: &'a mut ShadowPage,
-    base: usize,
-}
-
-impl PageEntries<'_> {
-    /// Mutable access to entry `idx` (absolute table index; must lie on
-    /// this page), lazily re-initializing it if its stamp is stale.
-    #[inline]
-    pub fn entry_counted(&mut self, idx: usize, h: &mut DetectorHealth) -> &mut ShadowEntry {
-        debug_assert_eq!(idx / PAGE_ENTRIES, self.base / PAGE_ENTRIES, "index off page");
-        // The mask is a no-op for on-page indices (debug-asserted above)
-        // and proves the index in-bounds, eliding both bounds checks in
-        // the batch loop.
-        let o = (idx - self.base) % PAGE_ENTRIES;
-        if self.page.stamps[o] != self.page.generation {
-            h.shadow_fresh_on_mismatch += 1;
-            self.page.stamps[o] = self.page.generation;
-            self.page.entries[o] = FRESH;
-        }
-        self.page.hot_valid = false;
-        &mut self.page.entries[o]
-    }
-
-    /// Repack the whole page's hot words if a scalar accessor invalidated
-    /// them. Wide runs call this once per run; the common case is a
-    /// single `bool` test.
-    #[inline]
-    pub fn ensure_hot(&mut self) {
-        if !self.page.hot_valid {
-            for o in 0..PAGE_ENTRIES {
-                self.page.repack(o);
-            }
-            self.page.hot_valid = true;
-        }
-    }
-
-    /// Stamp-check entry `idx` ahead of a wide screen: a stale stamp is
-    /// counted and re-initialized exactly as [`Self::entry_counted`]
-    /// would (the fresh hot words then steer the lane through the screen
-    /// like any other fresh entry). Idempotent within a batch — once
-    /// restamped, later calls are a compare and nothing else.
-    #[inline]
-    pub fn prepare(&mut self, idx: usize, h: &mut DetectorHealth) {
-        let o = (idx - self.base) % PAGE_ENTRIES;
-        if self.page.stamps[o] != self.page.generation {
-            h.shadow_fresh_on_mismatch += 1;
-            self.page.stamps[o] = self.page.generation;
-            self.page.entries[o] = FRESH;
-            self.page.hot0[o] = hotwords::FRESH_H0;
-            self.page.hot1[o] = hotwords::FRESH_H1;
-            self.page.hot2[o] = hotwords::FRESH_H2;
-        }
-    }
-
-    /// The `(h0, h1)` screen words of entry `idx`. Valid only after
-    /// [`Self::ensure_hot`] and [`Self::prepare`].
-    #[inline]
-    pub fn hot01(&self, idx: usize) -> (u64, u64) {
-        let o = (idx - self.base) % PAGE_ENTRIES;
-        (self.page.hot0[o], self.page.hot1[o])
-    }
-
-    /// Apply a screened-pass *write* lane entirely through the hot words:
-    /// `ReadSingle -> Written` promotion, or store elision against the
-    /// packed `h2` word for an already-`Written` entry. Returns whether
-    /// the entry changed — exactly the `*entry != before` the scalar path
-    /// computes, because `h2` equality is exact for packable fields and
-    /// unpackable ones fall back to the AoS compare.
-    #[inline]
-    pub fn fast_write(&mut self, idx: usize, a: &MemAccess) -> bool {
-        let o = (idx - self.base) % PAGE_ENTRIES;
-        let h1 = self.page.hot1[o];
-        self.page.fast_write_at(o, a, h1)
-    }
-
-    /// Fused per-lane wide tier: stamp-check, SWAR screen, and (for a
-    /// passing write) the hot-word apply, in one slot resolution. Returns
-    /// `Some(changed)` when the lane passed the screen — exactly the
-    /// scalar fast path's outcome — or `None` for a cold lane, which is
-    /// left prepared for [`Self::cold_entry`]. Because each lane screens
-    /// against the *current* hot words at its own turn, a run walked
-    /// through this method observes mutations from earlier cold lanes
-    /// exactly as the scalar pipeline would.
-    #[inline]
-    pub fn lane_screen_apply(
-        &mut self,
-        idx: usize,
-        a: &MemAccess,
-        masks: (u64, u64),
-        h: &mut DetectorHealth,
-    ) -> Option<bool> {
-        let o = (idx - self.base) % PAGE_ENTRIES;
-        let p = &mut *self.page;
-        if p.stamps[o] != p.generation {
-            h.shadow_fresh_on_mismatch += 1;
-            p.stamps[o] = p.generation;
-            p.entries[o] = FRESH;
-            p.hot0[o] = hotwords::FRESH_H0;
-            p.hot1[o] = hotwords::FRESH_H1;
-            p.hot2[o] = hotwords::FRESH_H2;
-        }
-        if !a.kind.is_tracked() {
-            // Untracked (atomic) lanes screen as pass and apply nothing,
-            // mirroring the scalar early return.
-            return Some(false);
-        }
-        let k0 = hotwords::key0(&a.who);
-        let k1 = hotwords::key1(&a.who, a.sync_id, a.in_critical_section);
-        let is_write = a.kind.is_write();
-        let m = if is_write { masks.0 } else { masks.1 };
-        let h1 = p.hot1[o];
-        // Folded into one word so the screen is a single branch source.
-        if ((p.hot0[o] ^ k0) | ((h1 ^ k1) & m)) != 0 {
-            return None;
-        }
-        Some(is_write && p.fast_write_at(o, a, h1))
-    }
-
-    /// Raw entry access for a screened-out (cold) lane. Unlike
-    /// [`Self::entry_counted`] this neither stamp-checks (the lane was
-    /// prepared by [`Self::lane_screen_apply`] or [`Self::prepare`]) nor
-    /// invalidates the page mirror — the caller repacks the entry via
-    /// [`Self::repack_entry`] after mutating it.
-    #[inline]
-    pub fn cold_entry(&mut self, idx: usize) -> &mut ShadowEntry {
-        let o = (idx - self.base) % PAGE_ENTRIES;
-        debug_assert_eq!(self.page.stamps[o], self.page.generation, "cold lane not prepared");
-        &mut self.page.entries[o]
-    }
-
-    /// Recompute entry `idx`'s hot words after a cold-path mutation.
-    #[inline]
-    pub fn repack_entry(&mut self, idx: usize) {
-        let o = (idx - self.base) % PAGE_ENTRIES;
-        self.page.repack(o);
-    }
-
 }
 
 #[cfg(test)]
@@ -592,67 +539,66 @@ mod tests {
     }
 
     #[test]
-    fn with_page_matches_get_mut_counted() {
-        // The batch page view must be indistinguishable from per-entry
-        // resolution: same entries handed out, same health accounting,
-        // through materialization, reset, and lazy re-init.
+    fn wide_lanes_account_like_get_mut_counted() {
+        // The wide tier's page and stamp resolution must be
+        // indistinguishable from the scalar accessor: same health
+        // accounting through materialization, reset and lazy re-init.
+        let p = ShadowPolicy::shared(true, BloomConfig::PAPER_DEFAULT);
+        let r = hotwords::WideRules::new(&p, false);
         let mut scalar = ShadowTable::new(2 * PAGE_ENTRIES);
-        let mut batch = ShadowTable::new(2 * PAGE_ENTRIES);
+        let mut wide = ShadowTable::new(2 * PAGE_ENTRIES);
         let mut hs = DetectorHealth::default();
-        let mut hb = DetectorHealth::default();
-        let idxs = [0usize, 5, 5, PAGE_ENTRIES - 1];
-        for &i in &idxs {
-            scalar.get_mut_counted(i, &mut hs).protected = true;
-        }
-        batch.with_page(idxs[0], &mut hb, |pe, h| {
-            for &i in &idxs {
-                pe.entry_counted(i, h).protected = true;
+        let mut hw = DetectorHealth::default();
+        let a = MemAccess::plain(0, 4, AccessKind::Read, ThreadCoord::new(1, 0, 0, 0));
+        for round in 0..2 {
+            for i in [0usize, 5, 5, PAGE_ENTRIES - 1, PAGE_ENTRIES + 3] {
+                let _ = scalar.get_mut_counted(i, &mut hs);
+                assert!(wide.wide_lane(i, &a, &r, &mut hw).is_some());
             }
-        });
-        assert_eq!(hs.shadow_pages_allocated, hb.shadow_pages_allocated);
-        assert_eq!(hs.shadow_fresh_on_mismatch, hb.shadow_fresh_on_mismatch);
-        scalar.reset_range(0, PAGE_ENTRIES);
-        batch.reset_range(0, PAGE_ENTRIES);
-        // Stale stamps re-init identically through both paths.
-        let s = *scalar.get_mut_counted(5, &mut hs);
-        let b = batch.with_page(5, &mut hb, |pe, h| *pe.entry_counted(5, h));
-        assert_eq!(s, b);
-        assert!(b.is_fresh());
-        assert_eq!(hs.shadow_fresh_on_mismatch, hb.shadow_fresh_on_mismatch);
-        assert_eq!(hs.shadow_pages_allocated, hb.shadow_pages_allocated);
+            assert_eq!(hs.shadow_pages_allocated, hw.shadow_pages_allocated, "round {round}");
+            assert_eq!(hs.shadow_fresh_on_mismatch, hw.shadow_fresh_on_mismatch, "round {round}");
+            scalar.reset_range(0, PAGE_ENTRIES);
+            wide.reset_range(0, PAGE_ENTRIES);
+        }
+        assert_eq!(hw.shadow_pages_allocated, 2);
+        assert!(hw.shadow_fresh_on_mismatch > 0);
     }
 
     #[test]
-    fn hot_mirror_survives_scalar_mutation_and_resets() {
-        use crate::hotwords;
+    fn hot_words_and_aos_stay_coherent_across_tiers_and_resets() {
         let mut t = ShadowTable::new(PAGE_ENTRIES);
         let mut h = DetectorHealth::default();
         let who = ThreadCoord::new(3, 1, 0, 0);
         let c = ClockFile::new(4, 16);
         let p = ShadowPolicy::global(true, true, BloomConfig::PAPER_DEFAULT);
+        let r = hotwords::WideRules::new(&p, true);
         let w = MemAccess::plain(8, 4, AccessKind::Write, who).at_cycle(7).at_pc(0x40);
-        // A scalar mutation invalidates the mirror; ensure_hot repacks it
-        // to match a from-scratch pack of the entry.
+        let w2 = MemAccess::plain(8, 4, AccessKind::Write, who).at_cycle(9).at_pc(0x44);
+        // A scalar mutation poisons the slot: the wide tier sends it cold
+        // until the cold path repacks it from the AoS entry.
         let _ = t.get_mut_counted(2, &mut h).observe_health(&w, &c, &p, &mut h);
+        assert_eq!(t.wide_lane(2, &w2, &r, &mut h), None);
+        t.cold_entry(2).observe_health(&w2, &c, &p, &mut h);
+        t.repack_entry(2);
+        // Repacked and attached: a wide write now writes through.
+        let w3 = MemAccess::plain(8, 4, AccessKind::Write, who).at_cycle(11).at_pc(0x48);
+        assert_eq!(t.wide_lane(2, &w3, &r, &mut h), Some(true));
+        assert_eq!(t.wide_lane(2, &w3, &r, &mut h), Some(false), "identical store must elide");
         let e = t.get(2);
-        t.with_page(2, &mut h, |pe, _h| {
-            pe.ensure_hot();
-            assert_eq!(pe.hot01(2), (hotwords::pack_h0(&e), hotwords::pack_h1(&e)));
-            // A fast write keeps AoS and hot words coherent; an identical
-            // repeat elides.
-            let w2 = MemAccess::plain(8, 4, AccessKind::Write, who).at_cycle(9).at_pc(0x44);
-            assert!(pe.fast_write(2, &w2));
-            assert!(!pe.fast_write(2, &w2), "identical store must elide");
-        });
-        let e = t.get(2);
-        assert_eq!((e.write_cycle, e.pc), (9, 0x44));
-        // A partial-page reset walks entries and hot words together.
+        assert_eq!((e.write_cycle, e.pc), (11, 0x48));
+        assert_eq!(*t.get_mut(2), e);
+        // A wide first touch opens a detached entry the AoS view never
+        // sees; reading or attaching it yields the same entry the scalar
+        // state machine would have built.
+        assert_eq!(t.wide_lane(5, &w2, &r, &mut h), Some(true));
+        let mut scalar = FRESH;
+        scalar.observe(&w2, &c, &p);
+        assert_eq!(t.get(5), scalar);
+        assert_eq!(*t.get_mut(5), scalar);
+        // A partial-page reset re-freshens the slots alone.
         t.reset_range(0, 10);
-        t.with_page(2, &mut h, |pe, h2| {
-            pe.ensure_hot();
-            pe.prepare(2, h2);
-            assert_eq!(pe.hot01(2), (hotwords::FRESH_H0, hotwords::FRESH_H1));
-        });
+        assert!(t.get(2).is_fresh() && t.get(5).is_fresh());
+        assert!(t.get_mut(2).is_fresh());
     }
 
     #[test]

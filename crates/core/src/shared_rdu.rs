@@ -21,7 +21,7 @@ use crate::race::RaceLog;
 use crate::scratch::RaceScratch;
 use crate::global_rdu::TransitionSink;
 use crate::shadow::{ShadowEntry, ShadowPolicy};
-use crate::shadow_table::{ShadowTable, PAGE_ENTRIES};
+use crate::shadow_table::ShadowTable;
 
 /// Counters the evaluation harness reads off each shared RDU.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
@@ -179,11 +179,11 @@ impl SharedRdu {
 
     /// Batch counterpart of [`Self::observe_health`] over one warp's lane
     /// accesses — bit-identical to `check_warp_stores` (when `is_store`)
-    /// followed by `observe_health` per lane in order. Maximal consecutive
-    /// same-page runs resolve the shadow page once, and the same-thread
-    /// steady state short-circuits the full dispatch; `on_transition`
-    /// (tracing) or witness capture disables the short-circuit so every
-    /// Fig. 3 edge is observed in scalar order.
+    /// followed by `observe_health` per lane in order. Single-chunk lanes
+    /// go through the wide tier ([`ShadowTable::wide_lane`]),
+    /// the rest — and every lane while `on_transition` (tracing), witness
+    /// capture or the scalar escape hatch is on — through the per-chunk
+    /// reference path, so every Fig. 3 edge is observed in scalar order.
     #[allow(clippy::too_many_arguments)]
     pub fn check_warp_batch(
         &mut self,
@@ -210,41 +210,40 @@ impl SharedRdu {
             dispatch,
             ..
         } = self;
-        let (sm, gran, capture_witness) = (*sm, *gran, *capture_witness);
+        let (sm, capture_witness) = (*sm, *capture_witness);
         let tlen = table.len();
         // Hoisted out of the per-access loop (`Granularity::shift` is a
         // trailing_zeros each call).
         let shift = gran.shift();
-        let index_range = |addr: u32, size: u8| {
-            (
-                (addr >> shift) as usize,
-                (((addr + u32::from(size.max(1)) - 1) >> shift) as usize)
-                    .min(tlen.saturating_sub(1)),
-            )
-        };
         let traced = on_transition.is_some();
-        // The wide SWAR tier engages only when no observer needs per-lane
+        // The wide tier engages only when no observer needs per-lane
         // before/after states and the escape hatch isn't pinning scalar.
         let wide = !traced && !capture_witness && !*force_scalar;
-        let masks = crate::hotwords::screen_masks(policy);
-        let mut i = 0usize;
-        while i < accesses.len() {
-            let a = &accesses[i];
+        let rules = crate::hotwords::WideRules::new(policy, false);
+        // Once-per-batch §III-B Bloom verdict memo for the batched
+        // lockset path (keyed on both signatures, so valid batch-wide).
+        let mut bloom_memo: Option<(u32, u32, bool)> = None;
+        let mut wide_n = 0u64;
+        stats.checks += accesses.len() as u64;
+        for a in accesses {
             debug_assert_eq!(a.who.sm, sm, "access routed to the wrong SM's RDU");
-            let (lo, hi) = index_range(a.addr, a.size);
-            let page = ShadowTable::page_of(lo);
-            if traced || lo > hi || ShadowTable::page_of(hi) != page {
-                // Scalar fallback: tracing, clamped-out accesses, and
-                // page straddles resolve per chunk.
-                stats.checks += 1;
-                dispatch.scalar_lanes += (hi + 1).saturating_sub(lo) as u64;
-                for idx in lo..=hi {
-                    let entry = table.get_mut_counted(idx, h);
-                    shared_check_chunk(
+            let lo = (a.addr >> shift) as usize;
+            let hi = (((a.addr + u32::from(a.size.max(1)) - 1) >> shift) as usize)
+                .min(tlen.saturating_sub(1));
+            if wide && lo == hi {
+                if table.wide_lane(lo, a, &rules, h).is_some() {
+                    wide_n += 1;
+                    continue;
+                }
+                let entry = table.cold_entry(lo);
+                if entry.observe_lockset_fast(a, clocks, policy, h, false, &mut bloom_memo).is_some() {
+                    dispatch.cs_fast_lanes += 1;
+                } else {
+                    dispatch.scalar_lanes += 1;
+                    shared_check_chunk_slow(
                         entry,
                         a,
-                        (idx as u32) << shift,
-                        traced,
+                        (lo as u32) << shift,
                         clocks,
                         policy,
                         capture_witness,
@@ -254,148 +253,30 @@ impl SharedRdu {
                         &mut on_transition,
                     );
                 }
-                i += 1;
+                table.repack_entry(lo);
                 continue;
             }
-            // Maximal same-page run: resolve the page once, then consume
-            // accesses while they stay on it — one `index_range` per
-            // access, the check counter flushed per run. The address
-            // window below keeps consecutive single-chunk lanes on the
-            // fused path with one wrapping subtract and two compares
-            // (see the global RDU's batch loop for the full commentary).
-            let page_base_idx = page * PAGE_ENTRIES;
-            let page_addr = (page_base_idx as u32) << shift;
-            let page_span = ((tlen - page_base_idx).min(PAGE_ENTRIES) as u32) << shift;
-            let gsize = 1u32 << shift;
-            let gmask = gsize - 1;
-            let next = table.with_page(lo, h, |pe, h| {
-                if wide {
-                    pe.ensure_hot();
-                }
-                let (mut lo, mut hi) = (lo, hi);
-                let mut j = i;
-                // Per-run state of the wide tier: dispatch tallies in
-                // run-local registers and the once-per-run §III-B Bloom
-                // memo for the batched lockset path.
-                let (mut wide_n, mut cs_n, mut scalar_n) = (0u64, 0u64, 0u64);
-                let mut bloom_memo: Option<(u32, u32, bool)> = None;
-                'run: loop {
-                    if wide && lo == hi {
-                        // Wide tier, fused per lane: stamp-check + SWAR
-                        // screen + hot-word apply in one slot resolution,
-                        // so cold-lane mutations are observed by later
-                        // lanes exactly as in the scalar pipeline.
-                        loop {
-                            let a = &accesses[j];
-                            let idx = lo;
-                            match pe.lane_screen_apply(idx, a, masks, h) {
-                                Some(_) => wide_n += 1,
-                                None => {
-                                    {
-                                        let entry = pe.cold_entry(idx);
-                                        let cs_fast = a.kind.is_tracked()
-                                            && !entry.is_fresh()
-                                            && (a.in_critical_section || entry.protected)
-                                            && !(policy.sync_id_epochs
-                                                && a.who.block == entry.block
-                                                && a.sync_id != entry.sync_id);
-                                        let fast = if cs_fast {
-                                            entry.observe_lockset_fast(
-                                                a,
-                                                clocks,
-                                                policy,
-                                                h,
-                                                false,
-                                                &mut bloom_memo,
-                                            )
-                                        } else {
-                                            None
-                                        };
-                                        match fast {
-                                            Some(_) => cs_n += 1,
-                                            None => {
-                                                scalar_n += 1;
-                                                shared_check_chunk_slow(
-                                                    entry,
-                                                    a,
-                                                    (idx as u32) << shift,
-                                                    clocks,
-                                                    policy,
-                                                    capture_witness,
-                                                    ring,
-                                                    log,
-                                                    h,
-                                                    &mut on_transition,
-                                                );
-                                            }
-                                        }
-                                    }
-                                    pe.repack_entry(idx);
-                                }
-                            }
-                            j += 1;
-                            if j >= accesses.len() {
-                                break 'run;
-                            }
-                            let b = &accesses[j];
-                            let d = b.addr.wrapping_sub(page_addr);
-                            if d < page_span
-                                && (d & gmask) + u32::from(b.size.max(1)) <= gsize
-                            {
-                                lo = page_base_idx + (d >> shift) as usize;
-                            } else {
-                                break;
-                            }
-                        }
-                    } else {
-                        let a = &accesses[j];
-                        // `lo..hi + 1`, not `lo..=hi`: RangeInclusive keeps a
-                        // done-flag the optimizer doesn't remove in this loop.
-                        for idx in lo..hi + 1 {
-                            let entry = pe.entry_counted(idx, h);
-                            shared_check_chunk(
-                                entry,
-                                a,
-                                (idx as u32) << shift,
-                                false,
-                                clocks,
-                                policy,
-                                capture_witness,
-                                ring,
-                                log,
-                                h,
-                                &mut on_transition,
-                            );
-                        }
-                        if wide {
-                            // The scalar accessor invalidated the page
-                            // mirror — restore it before the next block.
-                            pe.ensure_hot();
-                        }
-                        scalar_n += (hi + 1 - lo) as u64;
-                        j += 1;
-                    }
-                    if j >= accesses.len() {
-                        break;
-                    }
-                    let b = &accesses[j];
-                    let (blo, bhi) = index_range(b.addr, b.size);
-                    if blo > bhi
-                        || ShadowTable::page_of(blo) != page
-                        || ShadowTable::page_of(bhi) != page
-                    {
-                        break;
-                    }
-                    (lo, hi) = (blo, bhi);
-                }
-                dispatch.wide_lanes += wide_n;
-                dispatch.cs_fast_lanes += cs_n;
-                dispatch.scalar_lanes += scalar_n;
-                j
-            });
-            stats.checks += (next - i) as u64;
-            i = next;
+            // Reference path: tracing, witness capture, the escape hatch,
+            // clamped-out accesses and multi-chunk accesses, per chunk.
+            dispatch.scalar_lanes += (hi + 1).saturating_sub(lo) as u64;
+            for idx in lo..hi + 1 {
+                let entry = table.get_mut_counted(idx, h);
+                shared_check_chunk(
+                    entry,
+                    a,
+                    (idx as u32) << shift,
+                    traced,
+                    clocks,
+                    policy,
+                    capture_witness,
+                    ring,
+                    log,
+                    h,
+                    &mut on_transition,
+                );
+            }
         }
+        dispatch.wide_lanes += wide_n;
     }
 
     /// Pre-issue intra-warp WAW check over one warp instruction's lanes

@@ -22,7 +22,7 @@ use crate::mem::slice::MemSlice;
 use crate::mem::MemReq;
 use crate::prof::{self, Counter, Phase};
 use crate::sm::{apply_global_batch, CycleOutput, LaunchContext, Sm, SmOp};
-use crate::stats::{CacheStats, DramStats, SimStats, SkipStats};
+use crate::stats::{CacheStats, DramStats, SimStats, SkipStats, TierStats};
 use crate::trace::{heartbeat, LaunchSampler, ReqTag, SimEvent, Tracer};
 
 /// Launch failure modes.
@@ -72,6 +72,9 @@ pub struct LaunchResult {
     /// `skip.cycles_skipped`/`skip_jumps` are zero in dense mode by
     /// definition (`skip.sm_idle_cycles` is mode-independent).
     pub skip: SkipStats,
+    /// Lanes each shadow-check dispatch tier retired. Never part of the
+    /// bit-identity contract: forcing the scalar tier moves only these.
+    pub tiers: TierStats,
 }
 
 /// How the detector should run for subsequent launches.
@@ -401,6 +404,13 @@ impl Gpu {
             self.tracer.emit(now, SimEvent::KernelEnd { launch: launch_id });
         }
 
+        let mut tiers = TierStats::default();
+        for rdu in sms.iter().filter_map(|s| s.shared_rdu.as_ref()) {
+            tiers.shared.accumulate(&rdu.dispatch);
+        }
+        if let Some(rdu) = det.as_ref().and_then(|d| d.global.as_ref()) {
+            tiers.global = rdu.dispatch;
+        }
         let (races, max_sync, max_fence) = match det {
             Some(d) => (d.log, d.clocks.max_sync_id(), d.clocks.max_fence_id()),
             None => (RaceLog::default(), 0, 0),
@@ -418,6 +428,7 @@ impl Gpu {
             shadow_packed_bytes: shadow.packed_bytes,
             tracked_bytes,
             skip,
+            tiers,
         })
     }
 

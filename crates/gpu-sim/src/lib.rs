@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::gpu::{DetectorSetup, Gpu, LaunchResult, SimError};
     pub use crate::isa::builder::KernelBuilder;
     pub use crate::isa::{AtomOp, BinOp, CmpOp, Kernel, Op, Reg, Space, Src, UnOp};
-    pub use crate::stats::{SimStats, SkipStats};
+    pub use crate::stats::{SimStats, SkipStats, TierStats};
     pub use crate::trace::{
         EventSink, MetricsSample, NullSink, RingRecorder, SimEvent, Tracer,
     };

@@ -236,6 +236,10 @@ pub struct Cta {
     pub num_regs: u16,
     /// Per-thread atomic-ID (lockset) registers (§III-B).
     pub locks: Vec<AtomicIdRegister>,
+    /// Whether any thread of the block has entered a critical section.
+    /// Until then every `locks` register is the default (empty) one, so
+    /// access descriptors skip the per-lane register reads.
+    pub locks_used: bool,
     pub barrier_waiting: u32,
     pub live_warps: u32,
 }
@@ -387,6 +391,7 @@ impl Sm {
             lane_slots: nwarps as usize * LANES,
             num_regs: ctx.kernel.num_regs,
             locks: vec![AtomicIdRegister::default(); threads as usize],
+            locks_used: false,
             barrier_waiting: 0,
             live_warps: nwarps,
         });
@@ -804,6 +809,7 @@ impl Sm {
             Op::CsBegin { lock } => {
                 let bloom = det.map(|v| v.cfg.bloom).unwrap_or_default();
                 let cta = cta!();
+                cta.locks_used = true;
                 let addrs = crate::lanes::read_reg(
                     &cta.regs,
                     cta.lane_slots,
@@ -1283,40 +1289,37 @@ impl Sm {
         let cta = self.ctas[cta_slot].as_ref().expect("cta live");
         let shared_base = cta.shared_base;
 
+        // Warp-uniform fields are read once, not per lane.
+        let akind = match kind {
+            MemOpKind::Load { .. } => AccessKind::Read,
+            MemOpKind::Store => AccessKind::Write,
+            MemOpKind::Atomic { .. } => AccessKind::Atomic,
+        };
+        let sync_id = v.clocks.sync_id(block_id);
+        let fence_id = v.clocks.fence_id(gwarp);
+        let tid_base = block_id * ctx.block_dim + warp_in_block * warp_size;
+        let lock_base = (warp_in_block * warp_size) as usize;
         let mut accesses = std::mem::take(&mut out.scratch.accesses);
         accesses.clear();
-        accesses.extend(lanes
-            .iter()
-            .map(|la| {
-                let t = warp_in_block * warp_size + u32::from(la.lane);
-                let who = ThreadCoord::new(
-                    block_id * ctx.block_dim + t,
-                    gwarp,
-                    block_id,
-                    sm_id,
-                );
-                let akind = match kind {
-                    MemOpKind::Load { .. } => AccessKind::Read,
-                    MemOpKind::Store => AccessKind::Write,
-                    MemOpKind::Atomic { .. } => AccessKind::Atomic,
-                };
-                let lk = &cta.locks[t as usize];
-                MemAccess {
-                    addr: shared_base + la.addr,
-                    size: la.size,
-                    kind: akind,
-                    who,
-                    pc: line_tag,
-                    sync_id: v.clocks.sync_id(block_id),
-                    fence_id: v.clocks.fence_id(gwarp),
-                    atomic_sig: lk.signature(),
-                    locks: *lk.locks(),
-                    in_critical_section: lk.in_critical_section(),
-                    l1_hit: false,
-                    l1_fill_cycle: 0,
-                    cycle: now,
-                }
-            }));
+        let no_lock = AtomicIdRegister::default();
+        accesses.extend(lanes.iter().map(|la| {
+            let lk = if cta.locks_used { &cta.locks[lock_base + usize::from(la.lane)] } else { &no_lock };
+            MemAccess {
+                addr: shared_base + la.addr,
+                size: la.size,
+                kind: akind,
+                who: ThreadCoord::new(tid_base + u32::from(la.lane), gwarp, block_id, sm_id),
+                pc: line_tag,
+                sync_id,
+                fence_id,
+                atomic_sig: lk.signature(),
+                locks: *lk.locks(),
+                in_critical_section: lk.in_critical_section(),
+                l1_hit: false,
+                l1_fill_cycle: 0,
+                cycle: now,
+            }
+        }));
 
         // Whole-warp batch check: the RDU resolves each shadow page once
         // per run of same-page lanes and reports Fig. 3 edges through the
@@ -1440,19 +1443,23 @@ impl Sm {
             MemOpKind::Atomic { .. } => AccessKind::Atomic,
         };
 
+        // Warp-uniform fields are read once, not per lane.
+        let sync_id = v.clocks.sync_id(block_id);
+        let fence_id = v.clocks.fence_id(gwarp);
+        let tid_base = block_id * ctx.block_dim + warp_in_block * warp_size;
+        let lock_base = (warp_in_block * warp_size) as usize;
         let start = arena.len() as u32;
+        let no_lock = AtomicIdRegister::default();
         for la in lanes.iter().filter(|la| tx_lanes.contains(la.lane)) {
-            let t = warp_in_block * warp_size + u32::from(la.lane);
-            let who = ThreadCoord::new(block_id * ctx.block_dim + t, gwarp, block_id, self.id);
-            let lk = &cta.locks[t as usize];
+            let lk = if cta.locks_used { &cta.locks[lock_base + usize::from(la.lane)] } else { &no_lock };
             arena.push(MemAccess {
                 addr: la.addr,
                 size: la.size,
                 kind: akind,
-                who,
+                who: ThreadCoord::new(tid_base + u32::from(la.lane), gwarp, block_id, self.id),
                 pc: line_tag,
-                sync_id: v.clocks.sync_id(block_id),
-                fence_id: v.clocks.fence_id(gwarp),
+                sync_id,
+                fence_id,
                 atomic_sig: lk.signature(),
                 locks: *lk.locks(),
                 in_critical_section: lk.in_critical_section(),
@@ -1490,9 +1497,8 @@ pub(crate) fn apply_global_batch(
     prof::count(Counter::GlobalChecks, accesses.len() as u64);
     let races_before = det.log.records().len();
 
-    // Whole-warp batch check: same-page lane runs resolve their shadow
-    // page once; shadow-line traffic and Fig. 3 edges stream back through
-    // the two sinks in the old scalar loop's per-access order.
+    // Whole-warp batch check: shadow-line traffic and Fig. 3 edges stream
+    // back through the two sinks in the scalar loop's per-access order.
     let mut shadow_lines = std::mem::take(&mut scratch.lines);
     shadow_lines.clear();
     {
@@ -1526,7 +1532,9 @@ pub(crate) fn apply_global_batch(
                     let sa = traffic.shadow_addr
                         + u32::from(i) * haccrg::cost::GLOBAL_SHADOW_STRIDE_BYTES;
                     let line = sa & line_mask;
-                    if !shadow_lines.contains(&line) {
+                    // Coalesced lanes share shadow lines: test the last
+                    // one before scanning the set.
+                    if shadow_lines.last() != Some(&line) && !shadow_lines.contains(&line) {
                         shadow_lines.push(line);
                     }
                 }

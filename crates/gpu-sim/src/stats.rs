@@ -3,7 +3,7 @@
 //! behaviour and DRAM bandwidth utilization (Fig. 9), plus detector
 //! traffic counters.
 
-use haccrg::prelude::DetectorHealth;
+use haccrg::prelude::{DetectorHealth, DispatchStats};
 use serde::{Deserialize, Serialize};
 
 /// Hit/miss counters for one cache level.
@@ -123,6 +123,27 @@ impl SkipStats {
         for (a, b) in self.sm_idle_cycles.iter_mut().zip(&o.sm_idle_cycles) {
             *a += *b;
         }
+    }
+}
+
+/// Lanes per shadow-check dispatch tier ([`haccrg::dispatch`]), per RDU
+/// kind. Like [`SkipStats`] this stays out of [`SimStats`]: detection
+/// results are bit-identical across tiers by construction, so the
+/// equivalence suites compare `SimStats` between a default run and a
+/// forced-scalar one, whose tier counts differ by design.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TierStats {
+    /// Summed over the per-SM shared RDUs.
+    pub shared: DispatchStats,
+    /// The global RDU.
+    pub global: DispatchStats,
+}
+
+impl TierStats {
+    /// Accumulate another launch's tier counts (multi-kernel runs).
+    pub fn accumulate(&mut self, o: &TierStats) {
+        self.shared.accumulate(&o.shared);
+        self.global.accumulate(&o.global);
     }
 }
 

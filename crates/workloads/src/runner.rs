@@ -105,6 +105,9 @@ pub struct RunOutput {
     /// Fast-forward accounting summed across launches (empty-equivalent
     /// when `cycle_skip` is off; never part of result comparisons).
     pub skip: SkipStats,
+    /// Shadow-check dispatch-tier lane counts summed across launches
+    /// (never part of result comparisons).
+    pub tiers: TierStats,
 }
 
 /// Run a prepared instance on an existing GPU.
@@ -112,6 +115,7 @@ pub fn run_instance(gpu: &mut Gpu, inst: &BenchInstance) -> Result<RunOutput, Si
     let mut stats = SimStats::default();
     let mut races = RaceLog::default();
     let mut skip = SkipStats::default();
+    let mut tiers = TierStats::default();
     let mut tracked = 0;
     let mut shadow = 0;
     let mut max_sync = 0u8;
@@ -121,6 +125,7 @@ pub fn run_instance(gpu: &mut Gpu, inst: &BenchInstance) -> Result<RunOutput, Si
         stats.accumulate(&r.stats);
         races.absorb(&r.races);
         skip.accumulate(&r.skip);
+        tiers.accumulate(&r.tiers);
         tracked = r.tracked_bytes;
         shadow = r.shadow_packed_bytes;
         max_sync = max_sync.max(r.max_sync_id);
@@ -137,6 +142,7 @@ pub fn run_instance(gpu: &mut Gpu, inst: &BenchInstance) -> Result<RunOutput, Si
         max_fence_id: max_fence,
         launches: inst.launches.len(),
         skip,
+        tiers,
     })
 }
 
