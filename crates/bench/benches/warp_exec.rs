@@ -154,9 +154,9 @@ fn lockset_batch(c: &mut Criterion) {
     let mut g = c.benchmark_group("lockset_batch");
     g.throughput(Throughput::Elements(32));
 
-    // simd: the batched lockset path — one Bloom intersection hoisted
-    // per same-lockset run. batch: the same entry point pinned to the
-    // per-lane reference path. scalar: the pre-batch pipeline.
+    // simd: the batch entry point with the wide tier on (critical-section
+    // lanes still take the reference step). batch: the same entry point
+    // pinned to the reference path. scalar: the pre-batch pipeline.
     for (name, force_scalar) in [("simd", false), ("batch", true)] {
         g.bench_function(name, |b| {
             let warps = [lockset_lanes(0), lockset_lanes(1)];

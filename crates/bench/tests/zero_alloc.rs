@@ -47,8 +47,8 @@ struct Pipeline {
     global_lanes: Vec<MemAccess>,
     shared_lanes: Vec<MemAccess>,
     /// Two warps alternately writing the same words under a common lock:
-    /// every batch round drives the batched lockset path (§III-B) in its
-    /// cross-thread steady state.
+    /// every batch round drives the §III-B lockset rules through the
+    /// reference step in their cross-thread steady state.
     lockset_warps: [Vec<MemAccess>; 2],
     /// Round parity selecting which lockset warp goes next.
     tick: usize,
@@ -127,8 +127,8 @@ impl Pipeline {
             self.srdu.observe(a, &self.clocks, &mut self.log);
         }
         self.srdu.reset_block_range(0, 48 * 1024);
-        // Batch path: whole-warp checks through the page-resolved runs
-        // (the same accesses, so the pattern stays race-free).
+        // Batch path: whole-warp checks through the RDU core's per-lane
+        // loop (the same accesses, so the pattern stays race-free).
         self.grdu.check_warp_batch(
             &self.global_lanes,
             true,
@@ -148,9 +148,10 @@ impl Pipeline {
             &mut self.health,
             None,
         );
-        // Batched lockset path: cross-warp writes under a common lock are
-        // benign, so the Bloom intersection verdict is hoisted per run
-        // and must never touch the allocator once warm.
+        // Lockset round: cross-warp writes under a common lock are benign;
+        // critical-section lanes take the scalar reference step (attach,
+        // Fig. 3 lockset rules, repack), which must never touch the
+        // allocator once warm.
         let lockset_warp = &self.lockset_warps[self.tick & 1];
         self.tick += 1;
         self.grdu.check_warp_batch(

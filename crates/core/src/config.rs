@@ -51,7 +51,7 @@ pub struct DetectorConfig {
     #[serde(default)]
     pub witness_capture: bool,
     /// Pin both RDUs' batch pipelines to the per-lane scalar shadow path
-    /// (bisection hatch for the wide SWAR tier; see [`crate::dispatch`]).
+    /// (bisection hatch for the wide tier; see [`crate::dispatch`]).
     /// `false` still honors the `HACCRG_FORCE_SCALAR_SHADOW` environment
     /// variable — the config can force scalar on, not force it off.
     #[serde(default)]

@@ -1,7 +1,7 @@
-//! Shadow-check dispatch accounting and the scalar-path escape hatch.
+//! Shadow-check dispatch accounting and the reference-path escape hatch.
 //!
-//! The batch pipeline (`check_warp_batch` on both RDUs) has three ways
-//! to retire a lane:
+//! Every checked chunk takes one of the two paths of the RDU core
+//! ([`crate::rdu`]), shared by both placements:
 //!
 //! * **wide** — [`crate::shadow_table::ShadowTable::wide_lane`]
 //!   computed the lane's Fig. 3 transition from the entry's 32-byte
@@ -14,54 +14,45 @@
 //!   `ReadSingle`/`ReadShared` entries from other warps and blocks
 //!   (MCARLO's and KMEANS's inputs), truncated-ID collisions counted
 //!   exactly;
-//! * **cs-fast** — a critical-section lane the wide tier left cold, whose
-//!   benign §III-B verdict the batched lockset path
-//!   ([`crate::shadow::ShadowEntry::observe_lockset_fast`]) settled
-//!   without the `#[cold]` scalar fallback;
-//! * **scalar** — the per-lane reference path (`check_chunk` /
-//!   `check_chunk_slow`): races, the cross-warp read of a written entry
-//!   (§III-C fence / §IV-B stale-L1 checks), unordered writes, the
-//!   lockset cases `observe_lockset_fast` declines, unpackable values
-//!   (SM IDs ≥ 2^16, cycles ≥ 2^23), multi-chunk accesses, and — verbatim
-//!   for every lane — whenever tracing, witness capture, or the escape
-//!   hatch pins it.
+//! * **scalar** — the reference step (attach → the scalar Fig. 3
+//!   `ShadowEntry::observe_health` → repack, one chunk at a time): races,
+//!   the cross-warp read of a written entry (§III-C fence / §IV-B
+//!   stale-L1 checks), unordered writes, every critical-section lane
+//!   (§III-B lockset rules), unpackable values (SM IDs ≥ 2^16, cycles
+//!   ≥ 2^23), each chunk of a multi-chunk access, and — for every lane —
+//!   whenever tracing, witness capture, or the escape hatch pins it.
 //!
-//! [`DispatchStats`] counts lanes per tier so tests (and bisection) can
-//! assert which path actually ran — detection results are bit-identical
-//! across tiers by construction, so nothing else observable moves.
+//! [`DispatchStats`] counts lanes per path so tests (and bisection) can
+//! assert which one actually ran — detection results are bit-identical
+//! across paths by construction, so nothing else observable moves.
 //! `gpu_sim::LaunchResult::tiers` sums them per launch and `runbench`
 //! prints them as its `tiers` line.
 //!
 //! Setting the environment variable `HACCRG_FORCE_SCALAR_SHADOW`
-//! (`1`/`true`/`yes`/`on`) — or calling
-//! [`set_force_scalar_shadow`] before RDUs are built, which is what
-//! `warp_bench` does for its reference columns — pins every lane to the
-//! scalar tier, mirroring `--no-cycle-skip` for the cycle-skip layer.
-//! Both RDUs also expose a per-instance `set_force_scalar` override so
-//! tests can pin a single detector without racing the process-wide knob.
+//! (`1`/`true`/`yes`/`on`) pins every lane of every RDU built afterwards
+//! to the reference path, mirroring `--no-cycle-skip` for the cycle-skip
+//! layer; `DetectorConfig::force_scalar_shadow` does the same for one
+//! simulated GPU. Both placements also expose a per-instance
+//! `set_force_scalar` so tests and `warp_bench` can pin a single detector.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Per-RDU counters of how many lanes each dispatch tier retired.
+/// Per-RDU counters of how many lanes each dispatch path retired.
 ///
 /// Deliberately *not* part of `GlobalRduStats`/`SharedRduStats`: those
-/// are compared bit-identical between scalar and batch pipelines by the
-/// equivalence suites, while dispatch counts differ by construction
+/// are compared bit-identical between the wide and pinned-scalar runs by
+/// the equivalence suites, while dispatch counts differ by construction
 /// (that difference is exactly what the escape-hatch test asserts).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DispatchStats {
     /// Lanes retired by the wide tier ([`crate::hotwords::wide_step`]).
     pub wide_lanes: u64,
-    /// Lanes retired by the batched lockset fast path.
-    pub cs_fast_lanes: u64,
-    /// Lanes retired by the per-lane scalar reference path.
+    /// Chunks checked by the reference step.
     pub scalar_lanes: u64,
 }
 
 impl DispatchStats {
-    /// Total lanes dispatched through any tier.
+    /// Total lanes dispatched through either path.
     pub fn total(&self) -> u64 {
-        self.wide_lanes + self.cs_fast_lanes + self.scalar_lanes
+        self.wide_lanes + self.scalar_lanes
     }
 
     /// Share of lanes the wide tier retired; 0 when nothing ran.
@@ -75,24 +66,15 @@ impl DispatchStats {
     /// Add another RDU's (or launch's) counts.
     pub fn accumulate(&mut self, o: &DispatchStats) {
         self.wide_lanes += o.wide_lanes;
-        self.cs_fast_lanes += o.cs_fast_lanes;
         self.scalar_lanes += o.scalar_lanes;
     }
 }
 
 impl std::fmt::Display for DispatchStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "wide {} / cs-fast {} / scalar {}",
-            self.wide_lanes, self.cs_fast_lanes, self.scalar_lanes
-        )
+        write!(f, "wide {} / scalar {}", self.wide_lanes, self.scalar_lanes)
     }
 }
-
-/// Process-wide override: 0 = unset (consult the environment),
-/// 1 = forced scalar, 2 = forced wide (ignore the environment).
-static FORCE_SCALAR: AtomicU8 = AtomicU8::new(0);
 
 /// Parse an `HACCRG_FORCE_SCALAR_SHADOW` value. Split out for tests —
 /// mutating the process environment is racy under the threaded test
@@ -101,22 +83,10 @@ pub fn parse_force_scalar(value: Option<&str>) -> bool {
     matches!(value, Some("1" | "true" | "yes" | "on"))
 }
 
-/// Pin (or unpin) the scalar shadow path for every RDU constructed from
-/// now on. Takes precedence over the environment variable.
-pub fn set_force_scalar_shadow(force: bool) {
-    FORCE_SCALAR.store(if force { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Whether newly constructed RDUs should pin the scalar shadow path:
-/// the programmatic override if set, else `HACCRG_FORCE_SCALAR_SHADOW`.
+/// Whether newly constructed RDUs should pin the reference path:
+/// `HACCRG_FORCE_SCALAR_SHADOW`.
 pub fn force_scalar_shadow_default() -> bool {
-    match FORCE_SCALAR.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => parse_force_scalar(
-            std::env::var("HACCRG_FORCE_SCALAR_SHADOW").ok().as_deref(),
-        ),
-    }
+    parse_force_scalar(std::env::var("HACCRG_FORCE_SCALAR_SHADOW").ok().as_deref())
 }
 
 #[cfg(test)]
@@ -135,12 +105,12 @@ mod tests {
 
     #[test]
     fn dispatch_totals_sum_all_tiers() {
-        let mut d = DispatchStats { wide_lanes: 5, cs_fast_lanes: 2, scalar_lanes: 1 };
+        let mut d = DispatchStats { wide_lanes: 5, scalar_lanes: 3 };
         assert_eq!(d.total(), 8);
         assert_eq!(d.wide_share(), 5.0 / 8.0);
-        d.accumulate(&DispatchStats { wide_lanes: 3, cs_fast_lanes: 0, scalar_lanes: 0 });
+        d.accumulate(&DispatchStats { wide_lanes: 3, scalar_lanes: 0 });
         assert_eq!(d.wide_lanes, 8);
-        assert_eq!(d.to_string(), "wide 8 / cs-fast 2 / scalar 1");
+        assert_eq!(d.to_string(), "wide 8 / scalar 3");
         assert_eq!(DispatchStats::default().wide_share(), 0.0);
     }
 }

@@ -43,14 +43,6 @@ impl Granularity {
         ((addr - base) >> self.shift()) as usize
     }
 
-    /// First and last entry index touched by an access of `size` bytes —
-    /// an unaligned or over-wide access can straddle chunks.
-    pub fn index_range(self, base: u32, addr: u32, size: u8) -> (usize, usize) {
-        let lo = self.index(base, addr);
-        let hi = self.index(base, addr + u32::from(size.max(1)) - 1);
-        (lo, hi)
-    }
-
     /// Base address of the chunk containing `addr` (for race reports).
     pub fn chunk_base(self, base: u32, addr: u32) -> u32 {
         base + (((addr - base) >> self.shift()) << self.shift())
@@ -99,16 +91,6 @@ mod tests {
         assert_eq!(g.index(0x100, 0x10f), 0);
         assert_eq!(g.index(0x100, 0x110), 1);
         assert_eq!(g.chunk_base(0x100, 0x11f), 0x110);
-    }
-
-    #[test]
-    fn straddling_access_spans_two_chunks() {
-        let g = Granularity::new(4).unwrap();
-        assert_eq!(g.index_range(0, 2, 4), (0, 1));
-        assert_eq!(g.index_range(0, 4, 4), (1, 1));
-        assert_eq!(g.index_range(0, 7, 1), (1, 1));
-        // size 0 treated as 1 byte
-        assert_eq!(g.index_range(0, 5, 0), (1, 1));
     }
 
     #[test]

@@ -178,24 +178,6 @@ pub fn unpack(h0: u64, h1: u64, h2: u64) -> ShadowEntry {
     }
 }
 
-/// The per-RDU policy bits [`wide_step`] reads.
-#[derive(Clone, Copy, Debug)]
-pub struct WideRules {
-    /// `ShadowPolicy::sync_id_epochs`.
-    pub sync_id_epochs: bool,
-    /// `ShadowPolicy::warp_filter`.
-    pub warp_filter: bool,
-    /// Count §VI-C2 truncated-ID collisions (the global RDU does).
-    pub count_truncation: bool,
-}
-
-impl WideRules {
-    /// Rules for an RDU running `p`.
-    pub fn new(p: &ShadowPolicy, count_truncation: bool) -> Self {
-        Self { sync_id_epochs: p.sync_id_epochs, warp_filter: p.warp_filter, count_truncation }
-    }
-}
-
 /// Post-state of one wide-tier lane: the entry's new words and whether
 /// the lane is a §VI-C2 truncated-ID collision the scalar path counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -222,9 +204,9 @@ fn truncation_collision(d0: u64, d1: u64) -> bool {
 }
 
 /// The wide tier's transcription of the non-racing, non-critical-section
-/// Fig. 3 transitions of `ShadowEntry::observe_health` for a tracked lane
-/// `a` against the entry words `(h0, h1, h2)`, with `k0`/`k1` the lane's
-/// [`key0`]/[`key1`]. Returns `None` for everything it does not cover —
+/// Fig. 3 transitions of `ShadowEntry::observe_health` under policy `p`
+/// for a tracked lane `a` against the entry words `(h0, h1, h2)`, with
+/// `k0`/`k1` the lane's [`key0`]/[`key1`]. Returns `None` for everything it does not cover —
 /// race candidates, the §III-C/§IV-B cross-warp read of a written entry,
 /// critical sections, protected entries, and any unpackable value — which
 /// the caller hands to the cold path untouched. Covered:
@@ -237,7 +219,7 @@ fn truncation_collision(d0: u64, d1: u64) -> bool {
 /// * unordered reads of `ReadSingle` (which become `ReadShared`) and of
 ///   `ReadShared` entries.
 #[inline(always)]
-pub fn wide_step(h0: u64, h1: u64, h2: u64, a: &MemAccess, k0: u64, k1: u64, r: &WideRules) -> Option<WideWords> {
+pub fn wide_step(h0: u64, h1: u64, h2: u64, a: &MemAccess, k0: u64, k1: u64, p: &ShadowPolicy) -> Option<WideWords> {
     debug_assert!(a.kind.is_tracked());
     let is_write = a.kind.is_write();
     let d0 = h0 ^ k0;
@@ -261,7 +243,7 @@ pub fn wide_step(h0: u64, h1: u64, h2: u64, a: &MemAccess, k0: u64, k1: u64, r: 
         return None;
     }
     if h1 & H1_FRESH != 0
-        || (r.sync_id_epochs && d1 & H1_BLOCK_LANE == 0 && d1 & H1_SYNC_LANE != 0)
+        || (p.sync_id_epochs && d1 & H1_BLOCK_LANE == 0 && d1 & H1_SYNC_LANE != 0)
     {
         // init_from: identity, epoch and provenance come from the lane;
         // a non-CS opener leaves the lock fields empty.
@@ -270,14 +252,14 @@ pub fn wide_step(h0: u64, h1: u64, h2: u64, a: &MemAccess, k0: u64, k1: u64, r: 
             return None;
         }
         let flags = H1_DETACHED | if is_write { H1_MODIFIED } else { 0 };
-        let truncated = r.count_truncation && h1 & H1_FRESH == 0 && truncation_collision(d0, d1);
+        let truncated = p.count_truncation && h1 & H1_FRESH == 0 && truncation_collision(d0, d1);
         return Some(WideWords { h0: k0, h1: k1 | flags, h2, truncated });
     }
     if h1 & H1_PROTECTED != 0 {
         return None;
     }
     let same_thread = d0 & H0_TID == 0;
-    let ordered = same_thread | ((d0 >> 32 == 0) & r.warp_filter);
+    let ordered = same_thread | ((d0 >> 32 == 0) & p.warp_filter);
     let (n0, n1, n2) = match (h1 & H1_MODIFIED != 0, h1 & H1_SHARED != 0, is_write) {
         // ReadSingle + ordered write: promote, taking the writer's identity.
         (false, false, true) if ordered => (
@@ -303,7 +285,7 @@ pub fn wide_step(h0: u64, h1: u64, h2: u64, a: &MemAccess, k0: u64, k1: u64, r: 
     if n2 & H2_POISON_BIT != 0 && n2 != h2 {
         return None;
     }
-    let truncated = r.count_truncation && truncation_collision(d0, d1);
+    let truncated = p.count_truncation && truncation_collision(d0, d1);
     Some(WideWords { h0: n0, h1: n1, h2: n2, truncated })
 }
 
@@ -323,11 +305,13 @@ mod tests {
         e
     }
 
-    /// The wide tier subsumes the scalar same-thread fast path: wherever
-    /// `observe_same_thread_fast` handles an access, [`wide_step`] retires
-    /// it too — with the same entry and change flag — unless a value is
-    /// unpackable (the only way the wide tier may be stricter), over a
-    /// grid of identity, epoch and critical-section perturbations.
+    /// The wide tier retires the same-thread steady state: wherever the
+    /// recorded thread re-accesses its entry in the same epoch, outside
+    /// any critical section and short of a write to a read-shared entry,
+    /// [`wide_step`] retires the lane with exactly the entry and change
+    /// flag of the scalar `observe_health` — unless a value is unpackable
+    /// (the only way the wide tier may be stricter) — over a grid of
+    /// identity, epoch and critical-section perturbations.
     #[test]
     fn wide_step_covers_the_same_thread_fast_path() {
         let base = ThreadCoord::new(7, 3, 1, 2);
@@ -345,7 +329,7 @@ mod tests {
             ShadowPolicy::global(true, true, BloomConfig::PAPER_DEFAULT),
             ShadowPolicy::shared(true, BloomConfig::PAPER_DEFAULT),
         ] {
-            let rules = WideRules::new(&policy, policy.sync_id_epochs);
+            let c = crate::clocks::ClockFile::new(4, 16);
             let mut read_shared = entry_for(base, AccessKind::Read);
             read_shared.shared = true;
             for e in [entry_for(base, AccessKind::Read), entry_for(base, AccessKind::Write), read_shared] {
@@ -362,17 +346,24 @@ mod tests {
                                 } else {
                                     a
                                 };
-                                let mut fast = e;
-                                let Some((changed, _, _)) = fast.observe_same_thread_fast(&a, &policy) else {
+                                let same_thread = (who.tid, who.warp, who.block, who.sm) == (e.tid, e.warp, e.block, e.sm)
+                                    && !cs
+                                    && !e.protected
+                                    && (!policy.sync_id_epochs || sync == e.sync_id)
+                                    && (!e.shared || !kind.is_write());
+                                if !same_thread {
                                     continue;
-                                };
+                                }
+                                let mut full = e;
+                                let mut h = crate::health::DetectorHealth::default();
+                                assert!(full.observe_health(&a, &c, &policy, &mut h).is_none(), "{a:?}");
                                 let (k0, k1) = (key0(&a.who), key1(&a.who, a.sync_id, a.in_critical_section));
-                                match wide_step(h0, h1, h2, &a, k0, k1, &rules) {
+                                match wide_step(h0, h1, h2, &a, k0, k1, &policy) {
                                     Some(w) => {
-                                        assert_eq!(w.h0, pack_h0(&fast), "{a:?}");
-                                        assert_eq!(w.h1, pack_h1(&fast), "{a:?}");
-                                        assert_eq!(w.h2, pack_h2(fast.fence_id, fast.write_cycle, fast.pc), "{a:?}");
-                                        assert_eq!((w.h0, w.h1, w.h2) != (h0, h1, h2), changed, "{a:?}");
+                                        assert_eq!(w.h0, pack_h0(&full), "{a:?}");
+                                        assert_eq!(w.h1, pack_h1(&full), "{a:?}");
+                                        assert_eq!(w.h2, pack_h2(full.fence_id, full.write_cycle, full.pc), "{a:?}");
+                                        assert_eq!((w.h0, w.h1, w.h2) != (h0, h1, h2), full != e, "{a:?}");
                                     }
                                     None => assert!(
                                         who.sm >= H1_SM_LIMIT || cycle >= H2_CYCLE_LIMIT,
@@ -422,7 +413,6 @@ mod tests {
                 ShadowPolicy::global(filter, true, crate::bloom::BloomConfig::PAPER_DEFAULT),
                 ShadowPolicy::shared(filter, crate::bloom::BloomConfig::PAPER_DEFAULT),
             ] {
-                let rules = WideRules::new(&policy, policy.sync_id_epochs);
                 let c = crate::clocks::ClockFile::new(16, 64);
                 // Entry setups: fresh, each state opened by `base` (CS and
                 // not), read-shared, a poisoned write cycle, a poisoned SM.
@@ -455,7 +445,7 @@ mod tests {
                                         let a = acc(who, kind, sync, cs, cycle);
                                         let k0 = key0(&a.who);
                                         let k1 = key1(&a.who, a.sync_id, a.in_critical_section);
-                                        let step = wide_step(h0, h1, h2, &a, k0, k1, &rules);
+                                        let step = wide_step(h0, h1, h2, &a, k0, k1, &policy);
                                         let mut after = *before;
                                         let race = after.observe(&a, &c, &policy);
                                         let Some(w) = step else { continue };
@@ -475,7 +465,7 @@ mod tests {
                                         }
                                         let changed = w.h0 != h0 || (w.h1 ^ h1) & !H1_DETACHED != 0 || w.h2 != h2;
                                         assert_eq!(changed, after != *before, "changed: {ctx}");
-                                        let truncated = rules.count_truncation
+                                        let truncated = policy.count_truncation
                                             && !before.is_fresh()
                                             && crate::packed::id_truncation_collision(before, &a.who);
                                         assert_eq!(w.truncated, truncated, "truncation: {ctx}");

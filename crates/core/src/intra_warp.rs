@@ -53,6 +53,12 @@ pub fn check_intra_warp_waw_into(
     });
 }
 
+/// Last byte a lane writes. An access running past the top of the
+/// address space ends at `u32::MAX`.
+fn last_byte(a: &MemAccess) -> u32 {
+    a.addr.saturating_add(u32::from(a.size.max(1)) - 1)
+}
+
 /// Occupancy-bitmap screen: `true` means no two tracked write lanes can
 /// overlap, so the exact check would report nothing. Conservative — a
 /// `false` only means "possible overlap, run the exact comparison".
@@ -70,31 +76,30 @@ fn writes_provably_disjoint(lanes: &[MemAccess], base: u32) -> bool {
     // with consecutive pairs disjoint are pairwise disjoint.
     let mut writes = 0u32;
     let mut monotone = true;
-    let mut prev_end = 0u32;
+    let mut prev_last = 0u32;
     for a in lanes {
         if a.kind != AccessKind::Write || a.addr < base {
             continue;
         }
         writes += 1;
-        monotone &= writes == 1 || a.addr >= prev_end;
-        prev_end = a.addr + u32::from(a.size.max(1));
+        monotone &= writes == 1 || a.addr > prev_last;
+        prev_last = last_byte(a);
     }
     if writes <= 1 || monotone {
         return true;
     }
     // Rare fallback: gather the footprint, then run the occupancy window.
     let mut min = u32::MAX;
-    let mut max_end = 0u32;
+    let mut max_last = 0u32;
     for a in lanes {
         if a.kind != AccessKind::Write || a.addr < base {
             continue;
         }
         min = min.min(a.addr);
-        max_end = max_end.max(a.addr + u32::from(a.size.max(1)));
+        max_last = max_last.max(last_byte(a));
     }
-    let span = max_end - min;
     let mut shift = 0u32;
-    while ((span - 1) >> shift) >= WINDOW_BITS {
+    while ((max_last - min) >> shift) >= WINDOW_BITS {
         shift += 1;
     }
     let mut occ = [0u64; (WINDOW_BITS / 64) as usize];
@@ -103,7 +108,7 @@ fn writes_provably_disjoint(lanes: &[MemAccess], base: u32) -> bool {
             continue;
         }
         let lo = (a.addr - min) >> shift;
-        let hi = (a.addr - min + u32::from(a.size.max(1)) - 1) >> shift;
+        let hi = (last_byte(a) - min) >> shift;
         let mut w = lo / 64;
         let mut first = lo % 64;
         loop {
@@ -137,12 +142,12 @@ fn check_intra_warp_waw_impl(
         if a.kind != AccessKind::Write || a.addr < base {
             continue;
         }
-        let (alo, ahi) = (a.addr, a.addr + u32::from(a.size.max(1)) - 1);
+        let (alo, ahi) = (a.addr, last_byte(a));
         for b in &lanes[i + 1..] {
             if b.kind != AccessKind::Write || b.addr < base || b.who.tid == a.who.tid {
                 continue;
             }
-            let (blo, bhi) = (b.addr, b.addr + u32::from(b.size.max(1)) - 1);
+            let (blo, bhi) = (b.addr, last_byte(b));
             if alo > bhi || blo > ahi {
                 continue;
             }
@@ -187,6 +192,18 @@ mod tests {
         // granularity must not be reported.
         let lanes = vec![lane_store(0, 4, 0, 0, 0), lane_store(4, 4, 1, 0, 0)];
         assert!(check_intra_warp_waw(&lanes, 0, MemSpace::Shared).is_empty());
+    }
+
+    #[test]
+    fn lanes_at_the_top_of_the_address_space_do_not_overflow() {
+        let top = u32::MAX - 1;
+        let clash = vec![lane_store(top - 4, 4, 0, 0, 0), lane_store(top, 4, 1, 0, 0), lane_store(top, 4, 2, 0, 0)];
+        let mut log = RaceLog::default();
+        check_intra_warp_waw_into(&clash, 0, MemSpace::Global, &mut RaceScratch::default(), &mut log);
+        assert_eq!(log.records().len(), 1);
+        assert_eq!(log.records()[0].addr, top);
+        let apart = vec![lane_store(top - 4, 4, 0, 0, 0), lane_store(top, 4, 1, 0, 0)];
+        assert!(check_intra_warp_waw(&apart, 0, MemSpace::Global).is_empty());
     }
 
     #[test]

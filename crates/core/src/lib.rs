@@ -9,11 +9,12 @@
 //! * a **per-location shadow-entry state machine** (Fig. 3) combining
 //!   happens-before detection between barrier synchronizations with
 //!   lockset detection inside critical sections — see [`shadow`];
-//! * **per-SM shared-memory RDUs** with hardware shadow entries reset at
-//!   each barrier — see [`shared_rdu`];
-//! * **per-memory-slice global RDUs** with a reserved shadow region in
-//!   device memory, per-block *sync IDs*, per-warp *fence IDs* and the
-//!   replicated race register file — see [`global_rdu`] and [`clocks`];
+//! * **one RDU core** ([`rdu`]) placed twice: **per-SM shared-memory
+//!   RDUs** with hardware shadow entries reset at each barrier — see
+//!   [`shared_rdu`] — and **per-memory-slice global RDUs** with a
+//!   reserved shadow region in device memory, per-block *sync IDs*,
+//!   per-warp *fence IDs* and the replicated race register file — see
+//!   [`global_rdu`] and [`clocks`];
 //! * **Bloom-filter locksets** ("atomic IDs") — see [`bloom`] and
 //!   [`lockset`] — plus the exact lookup-table alternative §III-B
 //!   mentions, in [`locktable`];
@@ -66,6 +67,7 @@ pub mod lockset;
 pub mod locktable;
 pub mod packed;
 pub mod race;
+pub mod rdu;
 pub mod replay;
 pub mod scratch;
 pub mod shadow;
@@ -79,12 +81,13 @@ pub mod prelude {
     pub use crate::clocks::ClockFile;
     pub use crate::config::{DetectorConfig, SharedShadowPlacement};
     pub use crate::dispatch::DispatchStats;
-    pub use crate::global_rdu::{GlobalRdu, ShadowTraffic, TransitionSink};
+    pub use crate::global_rdu::{GlobalRdu, ShadowTraffic};
     pub use crate::granularity::Granularity;
     pub use crate::health::{DetectorHealth, WitnessEvent, WitnessRing, WITNESS_CAP};
     pub use crate::lockset::AtomicIdRegister;
     pub use crate::locktable::LockTable;
     pub use crate::race::{group_races, RaceCategory, RaceGroup, RaceKind, RaceLog, RaceRecord};
+    pub use crate::rdu::TransitionSink;
     pub use crate::scratch::RaceScratch;
     pub use crate::shadow::{ShadowEntry, ShadowPolicy, ShadowState};
     pub use crate::shadow_table::ShadowTable;

@@ -17,6 +17,7 @@ use crate::bloom::{BloomConfig, BloomSig};
 use crate::clocks::ClockFile;
 use crate::health::DetectorHealth;
 use crate::locktable::LockTable;
+use crate::packed::id_truncation_collision;
 use crate::race::{RaceCategory, RaceKind, RaceRecord};
 
 /// Detection rules that differ between the shared- and global-memory RDUs.
@@ -44,6 +45,12 @@ pub struct ShadowPolicy {
     /// lockset (§III-B's alternative) whenever both sides carry exact
     /// information; accesses without it fall back to the Bloom check.
     pub exact_lockset: bool,
+    /// Count §VI-C2 truncated-ID collisions into
+    /// `DetectorHealth::id_truncation_collisions`: accesses the unpacked
+    /// simulator tells apart but a packed global shadow word (10-bit tid,
+    /// 3-bit block, 5-bit SM) would conflate. Global memory only; counted,
+    /// never acted on.
+    pub count_truncation: bool,
 }
 
 impl ShadowPolicy {
@@ -57,6 +64,7 @@ impl ShadowPolicy {
             l1_stale_check: false,
             bloom,
             exact_lockset: false,
+            count_truncation: false,
         }
     }
 
@@ -70,6 +78,7 @@ impl ShadowPolicy {
             l1_stale_check,
             bloom,
             exact_lockset: false,
+            count_truncation: true,
         }
     }
 }
@@ -237,8 +246,10 @@ impl ShadowEntry {
         self.observe_health(a, clocks, p, &mut h)
     }
 
-    /// [`Self::observe`] with fidelity accounting: lockset-check outcomes
-    /// and Bloom-aliasing-suppressed conflicts are counted into `h`.
+    /// [`Self::observe`] with fidelity accounting: lockset-check outcomes,
+    /// Bloom-aliasing-suppressed conflicts and (under
+    /// [`ShadowPolicy::count_truncation`]) truncated-ID collisions are
+    /// counted into `h`.
     pub fn observe_health(
         &mut self,
         a: &MemAccess,
@@ -248,6 +259,9 @@ impl ShadowEntry {
     ) -> Option<RaceRecord> {
         if !a.kind.is_tracked() {
             return None;
+        }
+        if p.count_truncation && !self.is_fresh() && id_truncation_collision(self, &a.who) {
+            h.id_truncation_collisions += 1;
         }
 
         // State 1: first access of the epoch.
@@ -279,95 +293,6 @@ impl ShadowEntry {
             self.init_from(a);
         }
         race
-    }
-
-    /// Same-thread steady-state fast path for the batch check pipeline.
-    ///
-    /// Handles the overwhelmingly common case — the recorded thread
-    /// re-accessing its own location outside any critical section, in the
-    /// same epoch — without copying the entry or running the full
-    /// dispatch. Returns `Some(entry_changed)` when the access is fully
-    /// handled (never a race, never a witness-state ambiguity), `None`
-    /// when the caller must fall back to [`Self::observe_health`]. The
-    /// handled cases are an exact transliteration of
-    /// `observe_happens_before` with `same_thread = true`:
-    /// `entry_changed` is true iff the full path would have left the
-    /// entry bitwise different (the signal `ShadowTraffic::writes`
-    /// counts).
-    #[inline(always)]
-    pub fn observe_same_thread_fast(
-        &mut self,
-        a: &MemAccess,
-        p: &ShadowPolicy,
-    ) -> Option<(bool, ShadowState, ShadowState)> {
-        if !a.kind.is_tracked() {
-            let st = self.state();
-            return Some((false, st, st));
-        }
-        // Identity must match on every recorded coordinate — not just
-        // `tid` — so the truncated-ID collision counter, the lockset
-        // dispatch, and the sync-ID epoch filter all provably see
-        // nothing to do. Non-short-circuit `|` on purpose: every operand
-        // is a cheap flag/field compare, and folding them into one branch
-        // beats seven predicted-not-taken jumps in the batch loop.
-        if self.is_fresh()
-            | (a.who.tid != self.tid)
-            | (a.who.warp != self.warp)
-            | (a.who.block != self.block)
-            | (a.who.sm != self.sm)
-            | a.in_critical_section
-            | self.protected
-            // Same block (just checked), different barrier epoch: the
-            // full path re-opens the entry.
-            | (p.sync_id_epochs & (a.sync_id != self.sync_id))
-        {
-            return None;
-        }
-        let is_write = a.kind.is_write();
-        match (self.modified, self.shared) {
-            // State 2: own read recorded. A write promotes to Written
-            // (the identity fields are already ours); a read is a no-op.
-            (false, false) => {
-                if is_write {
-                    self.modified = true;
-                    self.fence_id = a.fence_id;
-                    self.write_cycle = a.cycle;
-                    self.pc = a.pc;
-                    Some((true, ShadowState::ReadSingle, ShadowState::Written))
-                } else {
-                    Some((false, ShadowState::ReadSingle, ShadowState::ReadSingle))
-                }
-            }
-            // State 3: own write recorded. A write refreshes the
-            // provenance fields; an ordered read changes nothing. The
-            // stores are skipped when the fields already match — the
-            // steady state is then read-only on the entry.
-            (true, false) => {
-                if is_write {
-                    let changed = self.fence_id != a.fence_id
-                        || self.write_cycle != a.cycle
-                        || self.pc != a.pc;
-                    if changed {
-                        self.fence_id = a.fence_id;
-                        self.write_cycle = a.cycle;
-                        self.pc = a.pc;
-                    }
-                    Some((changed, ShadowState::Written, ShadowState::Written))
-                } else {
-                    Some((false, ShadowState::Written, ShadowState::Written))
-                }
-            }
-            // State 4: read-shared. A write races even from the recorded
-            // thread — full path. Reads stay silent.
-            (false, true) => {
-                if is_write {
-                    None
-                } else {
-                    Some((false, ShadowState::ReadShared, ShadowState::ReadShared))
-                }
-            }
-            (true, true) => unreachable!("fresh entries bail above"),
-        }
     }
 
     /// Lockset rules (§III-B), plus the Fig. 2(b) check: even with a
@@ -479,159 +404,6 @@ impl ShadowEntry {
             }
         }
         race
-    }
-
-    /// Batched-lockset fast path for critical-section lanes in the batch
-    /// pipeline (§III-B verdicts without the `#[cold]` scalar fallback).
-    ///
-    /// Only lanes past the dispatch preamble of `observe_health` qualify:
-    /// the access is tracked, the entry is not fresh, the lane is
-    /// CS-related (`a.in_critical_section || self.protected`) and no
-    /// sync-ID epoch reopen applies; anything else returns `None`. This
-    /// method is **all-or-nothing**: every check that can still route the
-    /// lane to the scalar path runs *before* any counter or mutation, so a `None`
-    /// return leaves the entry and health bit-identical for the fallback
-    /// to replay from scratch. It returns `None` for every outcome the
-    /// scalar path handles specially — a race verdict, the Fig. 2(b)
-    /// fence race, or any exact-lockset involvement (miss attribution and
-    /// table refinement live in [`Self::observe_lockset`]) — and
-    /// `Some(entry_changed)` for the benign cases, with `entry_changed`
-    /// exactly the `*entry != before` the scalar path would compute.
-    ///
-    /// `bloom_memo` caches the §III-B null-intersection verdict keyed on
-    /// both signatures: when a run's lanes share one lockset (the
-    /// whole-warp-in-CS case this path exists for), the intersection is
-    /// computed once per run and replayed lane-wise. The health counters
-    /// still tick per lane, as the scalar path counts per check.
-    /// `count_truncation` mirrors the global RDU's truncated-ID collision
-    /// accounting (`check_chunk_slow`); shared RDUs pass `false`.
-    pub fn observe_lockset_fast(
-        &mut self,
-        a: &MemAccess,
-        clocks: &ClockFile,
-        p: &ShadowPolicy,
-        h: &mut DetectorHealth,
-        count_truncation: bool,
-        bloom_memo: &mut Option<(u32, u32, bool)>,
-    ) -> Option<bool> {
-        if !a.kind.is_tracked()
-            || self.is_fresh()
-            || !(a.in_critical_section || self.protected)
-            || (p.sync_id_epochs && a.who.block == self.block && a.sync_id != self.sync_id)
-        {
-            return None;
-        }
-        let is_write = a.kind.is_write();
-        let truncated = count_truncation
-            && crate::packed::id_truncation_collision(self, &a.who);
-
-        if a.who.tid == self.tid {
-            // Same thread: never a race; refine and track.
-            if truncated {
-                h.id_truncation_collisions += 1;
-            }
-            let mut changed = false;
-            if self.protected && a.in_critical_section {
-                let sig = self.atomic_sig.intersect(a.atomic_sig);
-                changed |= sig != self.atomic_sig;
-                self.atomic_sig = sig;
-                if self.locks_known && !a.locks.is_empty() {
-                    let t = self.locks.intersect(&a.locks);
-                    changed |= t != self.locks;
-                    self.locks = t;
-                }
-            }
-            if is_write {
-                changed |= !self.modified
-                    | self.shared
-                    | (self.fence_id != a.fence_id)
-                    | (self.write_cycle != a.cycle)
-                    | (self.pc != a.pc);
-                self.modified = true;
-                self.shared = false;
-                self.fence_id = a.fence_id;
-                self.write_cycle = a.cycle;
-                self.pc = a.pc;
-            }
-            return Some(changed);
-        }
-
-        let conflicting = self.modified || is_write;
-        let ordered_warp = p.warp_filter && a.who.warp == self.warp;
-
-        if self.protected && a.in_critical_section {
-            // Exact locksets bring miss attribution, the exact-mode
-            // verdict, and table refinement — scalar path's business.
-            if p.exact_lockset || (self.locks_known && !a.locks.is_empty()) {
-                return None;
-            }
-            let bloom_null = match *bloom_memo {
-                Some((s, k, v)) if s == self.atomic_sig.0 && k == a.atomic_sig.0 => v,
-                _ => {
-                    let v = self.atomic_sig.is_null_intersection(a.atomic_sig, p.bloom);
-                    *bloom_memo = Some((self.atomic_sig.0, a.atomic_sig.0, v));
-                    v
-                }
-            };
-            if bloom_null && conflicting && !ordered_warp {
-                return None; // race verdict
-            }
-            if !bloom_null
-                && self.modified
-                && !is_write
-                && p.fence_check
-                && a.who.warp != self.warp
-                && clocks.fence_id(self.warp) == self.fence_id
-            {
-                return None; // Fig. 2(b) fence race
-            }
-            // Benign: commit counters and refinement.
-            if truncated {
-                h.id_truncation_collisions += 1;
-            }
-            if bloom_null {
-                h.bloom_null_intersections += 1;
-            } else {
-                h.bloom_nonnull_intersections += 1;
-            }
-            let sig = self.atomic_sig.intersect(a.atomic_sig);
-            let mut changed = sig != self.atomic_sig;
-            self.atomic_sig = sig;
-            changed |= self.benign_lockset_epilogue(a, is_write, p);
-            return Some(changed);
-        }
-
-        // Protected/unprotected mix.
-        if conflicting && !ordered_warp {
-            return None; // race verdict
-        }
-        if truncated {
-            h.id_truncation_collisions += 1;
-        }
-        Some(self.benign_lockset_epilogue(a, is_write, p))
-    }
-
-    /// The benign-overlap epilogue of [`Self::observe_lockset`], with
-    /// exact change tracking. Returns whether the entry changed.
-    #[inline]
-    fn benign_lockset_epilogue(&mut self, a: &MemAccess, is_write: bool, p: &ShadowPolicy) -> bool {
-        let mut changed = false;
-        if is_write {
-            changed |= !self.modified
-                | self.shared
-                | (self.fence_id != a.fence_id)
-                | (self.write_cycle != a.cycle)
-                | (self.pc != a.pc);
-            self.modified = true;
-            self.shared = false;
-            self.fence_id = a.fence_id;
-            self.write_cycle = a.cycle;
-            self.pc = a.pc;
-        } else if a.who.warp != self.warp || !p.warp_filter {
-            changed |= !self.shared;
-            self.shared = true;
-        }
-        changed
     }
 
     /// Happens-before rules between barriers (§III-A States 2–4) with the
@@ -1266,60 +1038,6 @@ mod tests {
         assert!(e
             .observe_health(&exact_locked(0x100, t(200, 6), AccessKind::Write, cfg), &c, &p, &mut h)
             .is_some());
-    }
-
-    #[test]
-    fn same_thread_fast_path_matches_full_dispatch() {
-        // Everywhere the fast path claims to handle an access, the full
-        // dispatch must produce the identical entry, no race, and a
-        // bitwise-change flag equal to the fast path's return.
-        let c = clocks();
-        for p in [shared_policy(), global_policy()] {
-            let opener_read = rd(t(5, 2)).with_clocks(3, 0).at_pc(10);
-            let opener_write = wr(t(5, 2)).with_clocks(3, 0).at_pc(11).at_cycle(7);
-            let mut setups: Vec<ShadowEntry> = Vec::new();
-            for opener in [&opener_read, &opener_write] {
-                let mut e = FRESH;
-                e.observe(opener, &c, &p);
-                setups.push(e);
-            }
-            // Read-shared state: reader from another warp after a read.
-            let mut shared_state = FRESH;
-            shared_state.observe(&opener_read, &c, &p);
-            shared_state.observe(&rd(t(90, 4)).with_clocks(3, 0), &c, &p);
-            setups.push(shared_state);
-
-            let followups = [
-                rd(t(5, 2)).with_clocks(3, 0).at_pc(20),
-                wr(t(5, 2)).with_clocks(3, 0).at_pc(21).at_cycle(9),
-                wr(t(5, 2)).with_clocks(3, 1).at_pc(11).at_cycle(7),
-                MemAccess::plain(0, 4, AccessKind::Atomic, t(5, 2)).with_clocks(3, 0),
-                // Cases the fast path must refuse: other thread, new
-                // epoch, critical section.
-                wr(t(90, 4)).with_clocks(3, 0),
-                wr(t(5, 2)).with_clocks(4, 0),
-                locked_access(0x100, t(5, 2), AccessKind::Write),
-            ];
-            for setup in &setups {
-                for a in &followups {
-                    let mut fast = *setup;
-                    let verdict = fast.observe_same_thread_fast(a, &p);
-                    let mut full = *setup;
-                    let mut h = DetectorHealth::default();
-                    let race = full.observe_health(a, &c, &p, &mut h);
-                    if let Some((changed, before, after)) = verdict {
-                        assert_eq!(fast, full, "entry mismatch for {a:?} from {setup:?}");
-                        assert!(race.is_none(), "fast path claimed a non-race");
-                        assert_eq!(changed, full != *setup, "changed flag for {a:?}");
-                        assert_eq!(before, setup.state(), "before state for {a:?}");
-                        assert_eq!(after, full.state(), "after state for {a:?}");
-                        assert_eq!(h, DetectorHealth::default(), "fast path hid health");
-                    } else {
-                        assert_eq!(fast, *setup, "refusal must not mutate");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

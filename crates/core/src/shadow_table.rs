@@ -28,7 +28,7 @@
 use crate::access::MemAccess;
 use crate::health::DetectorHealth;
 use crate::hotwords;
-use crate::shadow::{ShadowEntry, FRESH};
+use crate::shadow::{ShadowEntry, ShadowPolicy, FRESH};
 
 /// Entries per shadow page. 128 entries keep the page-pointer vector
 /// tiny (8 bytes per page) while amortizing the allocation over many
@@ -78,10 +78,10 @@ impl HotSlot {
 ///   entries in this form without touching the AoS array at all — a
 ///   page whose entries never leave this form never allocates it.
 /// * **attached** — the AoS entry is authoritative and the hot words
-///   mirror it. An accessor that hands out a `&mut ShadowEntry` attaches
-///   the entry first (unpacking the words into it) and poisons the
-///   words, so the wide tier sends the slot cold until a cold-path
-///   repack re-derives them from whatever the caller wrote.
+///   mirror it. The scalar path mutates an entry only through
+///   [`ShadowTable::update`]: attach (unpacking the words into the AoS
+///   entry), run the Fig. 3 step, repack the words from the result — so
+///   the words are exact again before the next lane reads them.
 #[derive(Clone, Debug)]
 struct ShadowPage {
     /// Current epoch.
@@ -137,19 +137,14 @@ impl ShadowPage {
         }
     }
 
-    /// Make the AoS entry at live slot `o` authoritative. With `escape`
-    /// the caller may mutate it arbitrarily, so its words are poisoned
-    /// until a cold-path repack re-derives them.
+    /// Make the AoS entry at live slot `o` authoritative.
     #[inline]
-    fn attach(&mut self, o: usize, escape: bool) -> &mut ShadowEntry {
+    fn attach(&mut self, o: usize) -> &mut ShadowEntry {
         let s = &mut self.slots[o];
         let entries = self.entries.get_or_insert_with(new_entries);
         if s.detached() {
             entries[o] = hotwords::unpack(s.h0, s.h1, s.h2);
             s.h1 &= !hotwords::H1_DETACHED;
-        }
-        if escape {
-            s.h1 |= hotwords::H1_ENTRY_POISON;
         }
         &mut entries[o]
     }
@@ -170,7 +165,8 @@ impl ShadowPage {
     /// computes, because unpoisoned words are lossless and the wide tier
     /// only leaves lock fields alone or (re-opening, detached) empties
     /// them along with a flag change. An attached entry is written
-    /// through word by word, so a poisoned word it keeps stays exact.
+    /// through word by word, so a poisoned word it keeps (an unpackable
+    /// write cycle) stays exact.
     #[inline(always)]
     fn commit(&mut self, o: usize, w: &hotwords::WideWords) -> bool {
         let s = &mut self.slots[o];
@@ -265,21 +261,24 @@ impl ShadowTable {
         }
     }
 
-    /// Mutable access to entry `idx`, materializing its page and lazily
-    /// re-initializing the entry if its stamp is stale.
-    pub fn get_mut(&mut self, idx: usize) -> &mut ShadowEntry {
-        let mut h = DetectorHealth::default();
-        self.get_mut_counted(idx, &mut h)
-    }
-
-    /// [`Self::get_mut`] with fidelity accounting: counts page
-    /// materializations (occupancy gauge) and lazy fresh-on-mismatch
-    /// re-initializations into `h`.
-    pub fn get_mut_counted(&mut self, idx: usize, h: &mut DetectorHealth) -> &mut ShadowEntry {
+    /// Run `f` on entry `idx` — the one way the scalar path mutates an
+    /// entry. Materializes the page and lazily re-initializes a stale
+    /// entry (both counted into `h`, the page-occupancy gauge and
+    /// fresh-on-mismatch), attaches the entry, and repacks its hot words
+    /// from whatever `f` left, so the wide tier can take the very next
+    /// lane on it.
+    pub fn update<R>(
+        &mut self,
+        idx: usize,
+        h: &mut DetectorHealth,
+        f: impl FnOnce(&mut ShadowEntry, &mut DetectorHealth) -> R,
+    ) -> R {
         let o = idx % PAGE_ENTRIES;
         let page = self.page_mut(idx, h);
         page.restamp(o, h);
-        page.attach(o, true)
+        let r = f(page.attach(o), h);
+        page.repack(o);
+        r
     }
 
     /// The page holding entry `idx`, materialized (and counted into `h`)
@@ -296,25 +295,25 @@ impl ShadowTable {
     }
 
     /// The wide tier for one single-chunk lane: page resolution (counted
-    /// like [`Self::get_mut_counted`]), stamp-check, and the
-    /// [`hotwords::wide_step`] transition, all on the entry's 32-byte hot
-    /// slot. Returns `Some(changed)` when the lane was retired — exactly
-    /// the scalar path's outcome, truncated-ID collisions counted into
-    /// `h` — or `None` for a cold lane, left stamped for
-    /// [`Self::cold_entry`]. Each lane reads the *current* words at its
-    /// own turn, so lanes observe earlier cold-lane mutations exactly as
-    /// the scalar pipeline would.
+    /// like [`Self::update`]), stamp-check, and the
+    /// [`hotwords::wide_step`] transition under policy `p`, all on the
+    /// entry's 32-byte hot slot. Returns `Some(changed)` when the lane was
+    /// retired — exactly the scalar path's outcome, truncated-ID
+    /// collisions counted into `h` — or `None` for a cold lane, left
+    /// untouched for [`Self::update`]. Each lane reads the *current*
+    /// words at its own turn, so lanes observe earlier cold-lane
+    /// mutations exactly as the scalar pipeline would.
     #[inline(always)]
     pub fn wide_lane(
         &mut self,
         idx: usize,
         a: &MemAccess,
-        r: &hotwords::WideRules,
+        p: &ShadowPolicy,
         h: &mut DetectorHealth,
     ) -> Option<bool> {
         let o = idx % PAGE_ENTRIES;
-        let p = self.page_mut(idx, h);
-        p.restamp(o, h);
+        let page = self.page_mut(idx, h);
+        page.restamp(o, h);
         if !a.kind.is_tracked() {
             // Untracked (atomic) lanes retire untouched, mirroring the
             // scalar early return.
@@ -322,33 +321,15 @@ impl ShadowTable {
         }
         let k0 = hotwords::key0(&a.who);
         let k1 = hotwords::key1(&a.who, a.sync_id, a.in_critical_section);
-        let s = p.slots[o];
-        let w = hotwords::wide_step(s.h0, s.h1, s.h2, a, k0, k1, r)?;
+        let s = page.slots[o];
+        let w = hotwords::wide_step(s.h0, s.h1, s.h2, a, k0, k1, p)?;
         if w.truncated {
             h.id_truncation_collisions += 1;
         }
         if (w.h0, w.h1, w.h2) == (s.h0, s.h1, s.h2) {
             return Some(false);
         }
-        Some(p.commit(o, &w))
-    }
-
-    /// The attached entry of a lane [`Self::wide_lane`] left cold
-    /// (no stamp check, no counting). The caller runs the cold path on it
-    /// and then calls [`Self::repack_entry`].
-    pub fn cold_entry(&mut self, idx: usize) -> &mut ShadowEntry {
-        let o = idx % PAGE_ENTRIES;
-        let page = self.pages[idx / PAGE_ENTRIES].as_deref_mut().expect("cold lane on an absent page");
-        debug_assert_eq!(page.slots[o].stamp, page.generation, "cold lane not stamped");
-        page.attach(o, false)
-    }
-
-    /// Re-derive entry `idx`'s hot words from its attached AoS entry
-    /// after a cold-path mutation.
-    pub fn repack_entry(&mut self, idx: usize) {
-        if let Some(page) = self.pages[idx / PAGE_ENTRIES].as_deref_mut() {
-            page.repack(idx % PAGE_ENTRIES);
-        }
+        Some(page.commit(o, &w))
     }
 
     /// Invalidate entries in the half-open range `[first, last)`:
@@ -416,9 +397,15 @@ mod tests {
         let c = ClockFile::new(4, 16);
         let p = ShadowPolicy::shared(true, BloomConfig::PAPER_DEFAULT);
         let a = MemAccess::plain(0, 4, AccessKind::Write, ThreadCoord::new(0, 0, 0, 0));
-        let r = t.get_mut(idx).observe(&a, &c, &p);
+        let r = t.update(idx, &mut DetectorHealth::default(), |e, _| e.observe(&a, &c, &p));
         assert!(r.is_none());
         assert!(!t.get(idx).is_fresh());
+    }
+
+    /// Entry `idx` as the scalar path sees it (materializing and
+    /// re-initializing it like any scalar access).
+    fn attached(t: &mut ShadowTable, idx: usize) -> ShadowEntry {
+        t.update(idx, &mut DetectorHealth::default(), |e, _| *e)
     }
 
     #[test]
@@ -493,9 +480,9 @@ mod tests {
         dirty(&mut t, 7);
         t.reset_range(0, PAGE_ENTRIES);
         assert!(t.get(7).is_fresh(), "stale stamp reads fresh");
-        // The lazy re-init on get_mut must hand back a genuinely fresh
+        // The lazy re-init on update must hand back a genuinely fresh
         // entry, not the stale pre-reset state.
-        assert!(t.get_mut(7).is_fresh());
+        assert!(attached(&mut t, 7).is_fresh());
     }
 
     #[test]
@@ -511,7 +498,7 @@ mod tests {
         t.reset_range(0, PAGE_ENTRIES);
         assert!(t.get(0).is_fresh(), "wraparound resurrected a stale entry");
         assert_eq!(t.generation_of(0), Some(0), "hard reset rewinds the epoch");
-        assert!(t.get_mut(0).is_fresh());
+        assert!(attached(&mut t, 0).is_fresh());
     }
 
     #[test]
@@ -526,25 +513,24 @@ mod tests {
     fn counted_access_reports_pages_and_stale_reinit() {
         let mut t = ShadowTable::new(2 * PAGE_ENTRIES);
         let mut h = DetectorHealth::default();
-        t.get_mut_counted(0, &mut h);
+        t.update(0, &mut h, |_, _| ());
         assert_eq!(h.shadow_pages_allocated, 1, "first touch materializes");
         assert_eq!(h.shadow_fresh_on_mismatch, 0, "new pages come pre-stamped");
-        t.get_mut_counted(0, &mut h);
+        t.update(0, &mut h, |_, _| ());
         assert_eq!(h.shadow_pages_allocated, 1, "second touch reuses the page");
         assert_eq!(h.shadow_fresh_on_mismatch, 0, "live entry: no re-init");
         dirty(&mut t, 0);
         t.reset_range(0, PAGE_ENTRIES);
-        t.get_mut_counted(0, &mut h);
+        t.update(0, &mut h, |_, _| ());
         assert_eq!(h.shadow_fresh_on_mismatch, 1, "stale stamp re-inits");
     }
 
     #[test]
-    fn wide_lanes_account_like_get_mut_counted() {
+    fn wide_lanes_account_like_update() {
         // The wide tier's page and stamp resolution must be
         // indistinguishable from the scalar accessor: same health
         // accounting through materialization, reset and lazy re-init.
         let p = ShadowPolicy::shared(true, BloomConfig::PAPER_DEFAULT);
-        let r = hotwords::WideRules::new(&p, false);
         let mut scalar = ShadowTable::new(2 * PAGE_ENTRIES);
         let mut wide = ShadowTable::new(2 * PAGE_ENTRIES);
         let mut hs = DetectorHealth::default();
@@ -552,8 +538,8 @@ mod tests {
         let a = MemAccess::plain(0, 4, AccessKind::Read, ThreadCoord::new(1, 0, 0, 0));
         for round in 0..2 {
             for i in [0usize, 5, 5, PAGE_ENTRIES - 1, PAGE_ENTRIES + 3] {
-                let _ = scalar.get_mut_counted(i, &mut hs);
-                assert!(wide.wide_lane(i, &a, &r, &mut hw).is_some());
+                scalar.update(i, &mut hs, |_, _| ());
+                assert!(wide.wide_lane(i, &a, &p, &mut hw).is_some());
             }
             assert_eq!(hs.shadow_pages_allocated, hw.shadow_pages_allocated, "round {round}");
             assert_eq!(hs.shadow_fresh_on_mismatch, hw.shadow_fresh_on_mismatch, "round {round}");
@@ -571,34 +557,28 @@ mod tests {
         let who = ThreadCoord::new(3, 1, 0, 0);
         let c = ClockFile::new(4, 16);
         let p = ShadowPolicy::global(true, true, BloomConfig::PAPER_DEFAULT);
-        let r = hotwords::WideRules::new(&p, true);
         let w = MemAccess::plain(8, 4, AccessKind::Write, who).at_cycle(7).at_pc(0x40);
         let w2 = MemAccess::plain(8, 4, AccessKind::Write, who).at_cycle(9).at_pc(0x44);
-        // A scalar mutation poisons the slot: the wide tier sends it cold
-        // until the cold path repacks it from the AoS entry.
-        let _ = t.get_mut_counted(2, &mut h).observe_health(&w, &c, &p, &mut h);
-        assert_eq!(t.wide_lane(2, &w2, &r, &mut h), None);
-        t.cold_entry(2).observe_health(&w2, &c, &p, &mut h);
-        t.repack_entry(2);
-        // Repacked and attached: a wide write now writes through.
-        let w3 = MemAccess::plain(8, 4, AccessKind::Write, who).at_cycle(11).at_pc(0x48);
-        assert_eq!(t.wide_lane(2, &w3, &r, &mut h), Some(true));
-        assert_eq!(t.wide_lane(2, &w3, &r, &mut h), Some(false), "identical store must elide");
+        // A scalar mutation repacks the slot from the AoS entry, so the
+        // wide tier takes the very next lane and writes through.
+        t.update(2, &mut h, |e, h| e.observe_health(&w, &c, &p, h));
+        assert_eq!(t.wide_lane(2, &w2, &p, &mut h), Some(true));
+        assert_eq!(t.wide_lane(2, &w2, &p, &mut h), Some(false), "identical store must elide");
         let e = t.get(2);
-        assert_eq!((e.write_cycle, e.pc), (11, 0x48));
-        assert_eq!(*t.get_mut(2), e);
+        assert_eq!((e.write_cycle, e.pc), (9, 0x44));
+        assert_eq!(attached(&mut t, 2), e);
         // A wide first touch opens a detached entry the AoS view never
         // sees; reading or attaching it yields the same entry the scalar
         // state machine would have built.
-        assert_eq!(t.wide_lane(5, &w2, &r, &mut h), Some(true));
+        assert_eq!(t.wide_lane(5, &w2, &p, &mut h), Some(true));
         let mut scalar = FRESH;
         scalar.observe(&w2, &c, &p);
         assert_eq!(t.get(5), scalar);
-        assert_eq!(*t.get_mut(5), scalar);
+        assert_eq!(attached(&mut t, 5), scalar);
         // A partial-page reset re-freshens the slots alone.
         t.reset_range(0, 10);
         assert!(t.get(2).is_fresh() && t.get(5).is_fresh());
-        assert!(t.get_mut(2).is_fresh());
+        assert!(attached(&mut t, 2).is_fresh());
     }
 
     #[test]

@@ -13,15 +13,13 @@ use crate::access::{MemAccess, MemSpace};
 use crate::bloom::BloomConfig;
 use crate::clocks::ClockFile;
 use crate::cost;
-use crate::dispatch::DispatchStats;
 use crate::granularity::Granularity;
-use crate::health::{DetectorHealth, WitnessEvent, WitnessRing, WITNESS_RING_DEPTH};
+use crate::health::DetectorHealth;
 use crate::intra_warp::check_intra_warp_waw_into;
 use crate::race::RaceLog;
+use crate::rdu::{Placement, Rdu, TransitionSink};
 use crate::scratch::RaceScratch;
-use crate::global_rdu::TransitionSink;
-use crate::shadow::{ShadowEntry, ShadowPolicy};
-use crate::shadow_table::ShadowTable;
+use crate::shadow::ShadowPolicy;
 
 /// Counters the evaluation harness reads off each shared RDU.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
@@ -39,25 +37,21 @@ pub struct SharedRduStats {
     pub intra_warp_checks: u64,
 }
 
-/// Shared-memory RDU for one streaming multiprocessor.
-#[derive(Clone, Debug)]
-#[allow(missing_docs)]
-pub struct SharedRdu {
+/// The shared placement: dedicated banked shadow storage in one SM.
+#[derive(Clone, Copy, Debug)]
+pub struct SharedPlacement {
     sm: u32,
-    gran: Granularity,
     banks: u32,
-    table: ShadowTable,
-    policy: ShadowPolicy,
-    /// Opt-in windowed access recorder feeding per-race witness timelines.
-    capture_witness: bool,
-    ring: WitnessRing,
-    pub stats: SharedRduStats,
-    /// Escape hatch: pin every batch lane to the scalar reference path
-    /// (`HACCRG_FORCE_SCALAR_SHADOW`, [`crate::dispatch`]).
-    force_scalar: bool,
-    /// Lanes retired per dispatch tier (wide / cs-fast / scalar).
-    pub dispatch: DispatchStats,
 }
+
+impl Placement for SharedPlacement {
+    type Stats = SharedRduStats;
+}
+
+/// Shared-memory RDU for one streaming multiprocessor. Addresses are
+/// byte offsets into the SM's shared memory; an access past the end is
+/// clamped to the table.
+pub type SharedRdu = Rdu<SharedPlacement>;
 
 impl SharedRdu {
     /// Build an RDU covering `shared_bytes` of shared memory, split into
@@ -71,62 +65,18 @@ impl SharedRdu {
         warp_filter: bool,
         bloom: BloomConfig,
     ) -> Self {
-        Self {
-            sm,
+        Rdu::with_placement(
+            SharedPlacement { sm, banks: banks.max(1) },
+            0,
+            gran.entries_for(shared_bytes),
             gran,
-            banks: banks.max(1),
-            table: ShadowTable::new(gran.entries_for(shared_bytes)),
-            policy: ShadowPolicy::shared(warp_filter, bloom),
-            capture_witness: false,
-            ring: WitnessRing::with_depth(WITNESS_RING_DEPTH),
-            stats: SharedRduStats::default(),
-            force_scalar: crate::dispatch::force_scalar_shadow_default(),
-            dispatch: DispatchStats::default(),
-        }
-    }
-
-    /// Pin (`true`) or re-enable (`false`) the wide SWAR tier for this
-    /// RDU only, overriding the `HACCRG_FORCE_SCALAR_SHADOW` default the
-    /// constructor read. Detection results are identical either way;
-    /// only [`Self::dispatch`] moves.
-    pub fn set_force_scalar(&mut self, on: bool) {
-        self.force_scalar = on;
-    }
-
-    /// Whether the scalar shadow path is pinned for this RDU.
-    pub fn force_scalar(&self) -> bool {
-        self.force_scalar
-    }
-
-    /// Enable/disable the windowed access recorder. When enabled, every
-    /// detected race carries a bounded witness timeline of recent accesses
-    /// to the racy chunk.
-    pub fn set_witness_capture(&mut self, on: bool) {
-        self.capture_witness = on;
-        if !on {
-            self.ring.clear();
-        }
-    }
-
-    /// Switch both-protected conflict decisions to the exact lookup-table
-    /// lockset (§III-B alternative) where exact info is available.
-    pub fn set_exact_lockset(&mut self, on: bool) {
-        self.policy.exact_lockset = on;
+            ShadowPolicy::shared(warp_filter, bloom),
+        )
     }
 
     /// SM this RDU belongs to.
     pub fn sm(&self) -> u32 {
-        self.sm
-    }
-
-    /// Tracking granularity in use.
-    pub fn granularity(&self) -> Granularity {
-        self.gran
-    }
-
-    /// Number of shadow entries.
-    pub fn num_entries(&self) -> usize {
-        self.table.len()
+        self.place.sm
     }
 
     /// Check one lane access. `addr` in the access is a byte offset into
@@ -146,44 +96,16 @@ impl SharedRdu {
         log: &mut RaceLog,
         h: &mut DetectorHealth,
     ) {
-        debug_assert_eq!(a.who.sm, self.sm, "access routed to the wrong SM's RDU");
+        debug_assert_eq!(a.who.sm, self.place.sm, "access routed to the wrong SM's RDU");
         self.stats.checks += 1;
-        let (lo, hi) = self.gran.index_range(0, a.addr, a.size);
-        for idx in lo..=hi.min(self.table.len().saturating_sub(1)) {
-            let mut chunk_access = *a;
-            chunk_access.addr = (idx as u32) << self.gran.shift();
-            let entry = self.table.get_mut_counted(idx, h);
-            let state_before = entry.state();
-            let race = entry.observe_health(&chunk_access, clocks, &self.policy, h);
-            let state_after = entry.state();
-            if self.capture_witness && a.kind.is_tracked() {
-                self.ring.push(WitnessEvent {
-                    cycle: a.cycle,
-                    who: a.who,
-                    pc: a.pc,
-                    kind: a.kind,
-                    addr: chunk_access.addr,
-                    state_before,
-                    state_after,
-                });
-            }
-            if let Some(r) = race {
-                if self.capture_witness {
-                    log.push_with_witness(r, &self.ring.collect_for(chunk_access.addr));
-                } else {
-                    log.push(r);
-                }
-            }
-        }
+        self.observe_access(a, clocks, log, h);
     }
 
     /// Batch counterpart of [`Self::observe_health`] over one warp's lane
     /// accesses — bit-identical to `check_warp_stores` (when `is_store`)
-    /// followed by `observe_health` per lane in order. Single-chunk lanes
-    /// go through the wide tier ([`ShadowTable::wide_lane`]),
-    /// the rest — and every lane while `on_transition` (tracing), witness
-    /// capture or the scalar escape hatch is on — through the per-chunk
-    /// reference path, so every Fig. 3 edge is observed in scalar order.
+    /// followed by `observe_health` per lane in order, through the RDU
+    /// core's per-lane loop; `on_transition` (tracing) observes every
+    /// Fig. 3 edge in scalar order.
     #[allow(clippy::too_many_arguments)]
     pub fn check_warp_batch(
         &mut self,
@@ -193,90 +115,17 @@ impl SharedRdu {
         scratch: &mut RaceScratch,
         log: &mut RaceLog,
         h: &mut DetectorHealth,
-        mut on_transition: Option<TransitionSink<'_>>,
+        on_transition: Option<TransitionSink<'_>>,
     ) {
         if is_store {
             self.check_warp_stores(accesses, scratch, log);
         }
-        let SharedRdu {
-            sm,
-            gran,
-            table,
-            policy,
-            capture_witness,
-            ring,
-            stats,
-            force_scalar,
-            dispatch,
-            ..
-        } = self;
-        let (sm, capture_witness) = (*sm, *capture_witness);
-        let tlen = table.len();
-        // Hoisted out of the per-access loop (`Granularity::shift` is a
-        // trailing_zeros each call).
-        let shift = gran.shift();
-        let traced = on_transition.is_some();
-        // The wide tier engages only when no observer needs per-lane
-        // before/after states and the escape hatch isn't pinning scalar.
-        let wide = !traced && !capture_witness && !*force_scalar;
-        let rules = crate::hotwords::WideRules::new(policy, false);
-        // Once-per-batch §III-B Bloom verdict memo for the batched
-        // lockset path (keyed on both signatures, so valid batch-wide).
-        let mut bloom_memo: Option<(u32, u32, bool)> = None;
-        let mut wide_n = 0u64;
-        stats.checks += accesses.len() as u64;
-        for a in accesses {
-            debug_assert_eq!(a.who.sm, sm, "access routed to the wrong SM's RDU");
-            let lo = (a.addr >> shift) as usize;
-            let hi = (((a.addr + u32::from(a.size.max(1)) - 1) >> shift) as usize)
-                .min(tlen.saturating_sub(1));
-            if wide && lo == hi {
-                if table.wide_lane(lo, a, &rules, h).is_some() {
-                    wide_n += 1;
-                    continue;
-                }
-                let entry = table.cold_entry(lo);
-                if entry.observe_lockset_fast(a, clocks, policy, h, false, &mut bloom_memo).is_some() {
-                    dispatch.cs_fast_lanes += 1;
-                } else {
-                    dispatch.scalar_lanes += 1;
-                    shared_check_chunk_slow(
-                        entry,
-                        a,
-                        (lo as u32) << shift,
-                        clocks,
-                        policy,
-                        capture_witness,
-                        ring,
-                        log,
-                        h,
-                        &mut on_transition,
-                    );
-                }
-                table.repack_entry(lo);
-                continue;
-            }
-            // Reference path: tracing, witness capture, the escape hatch,
-            // clamped-out accesses and multi-chunk accesses, per chunk.
-            dispatch.scalar_lanes += (hi + 1).saturating_sub(lo) as u64;
-            for idx in lo..hi + 1 {
-                let entry = table.get_mut_counted(idx, h);
-                shared_check_chunk(
-                    entry,
-                    a,
-                    (idx as u32) << shift,
-                    traced,
-                    clocks,
-                    policy,
-                    capture_witness,
-                    ring,
-                    log,
-                    h,
-                    &mut on_transition,
-                );
-            }
-        }
-        dispatch.wide_lanes += wide_n;
+        debug_assert!(
+            accesses.iter().all(|a| a.who.sm == self.place.sm),
+            "access routed to the wrong SM's RDU"
+        );
+        self.stats.checks += accesses.len() as u64;
+        self.check_lanes(accesses, clocks, log, h, on_transition, |_, _, _, _, _| {});
     }
 
     /// Pre-issue intra-warp WAW check over one warp instruction's lanes
@@ -305,137 +154,9 @@ impl SharedRdu {
         self.table.reset_range(first, last);
         self.stats.resets += 1;
         self.stats.reset_entries += count as u64;
-        let cycles = cost::banked_reset_cycles(count as u64, self.banks);
+        let cycles = cost::banked_reset_cycles(count as u64, self.place.banks);
         self.stats.reset_cycles += cycles;
         cycles
-    }
-
-    /// Invalidate everything (kernel launch/termination).
-    pub fn reset_all(&mut self) {
-        self.table.reset_all();
-        self.ring.clear();
-    }
-
-    /// Inspect a shadow entry (tests/debugging). Untouched and
-    /// epoch-invalidated entries read as fresh.
-    pub fn entry(&self, idx: usize) -> ShadowEntry {
-        self.table.get(idx)
-    }
-
-    /// Inclusive range of shadow-entry indices an access touches, clamped
-    /// to the table — the same chunks [`Self::observe`] walks. `None` if
-    /// the access lands entirely past the table (observability hooks use
-    /// this to snapshot states around an `observe`).
-    pub fn chunk_range(&self, addr: u32, size: u8) -> Option<(usize, usize)> {
-        if self.table.is_empty() {
-            return None;
-        }
-        let (lo, hi) = self.gran.index_range(0, addr, size);
-        let hi = hi.min(self.table.len() - 1);
-        (lo <= hi).then_some((lo, hi))
-    }
-
-    /// Byte offset (into this SM's shared memory) of chunk `idx`.
-    pub fn chunk_addr(&self, idx: usize) -> u32 {
-        (idx as u32) << self.gran.shift()
-    }
-}
-
-/// One shared shadow-entry check — [`SharedRdu::observe_health`]'s inner
-/// loop body, preceded by the same-thread fast path whenever no
-/// transition sink is attached; the fast path reports before/after
-/// states itself, so witness capture rides it. (Unlike the global path
-/// there is no traffic signal and no truncated-ID accounting.)
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn shared_check_chunk(
-    entry: &mut ShadowEntry,
-    a: &MemAccess,
-    chunk_addr: u32,
-    traced: bool,
-    clocks: &ClockFile,
-    policy: &ShadowPolicy,
-    capture_witness: bool,
-    ring: &mut WitnessRing,
-    log: &mut RaceLog,
-    h: &mut DetectorHealth,
-    on_transition: &mut Option<TransitionSink<'_>>,
-) {
-    if !traced {
-        if let Some((_, state_before, state_after)) = entry.observe_same_thread_fast(a, policy) {
-            if capture_witness && a.kind.is_tracked() {
-                ring.push(WitnessEvent {
-                    cycle: a.cycle,
-                    who: a.who,
-                    pc: a.pc,
-                    kind: a.kind,
-                    addr: chunk_addr,
-                    state_before,
-                    state_after,
-                });
-            }
-            return;
-        }
-    }
-    shared_check_chunk_slow(
-        entry,
-        a,
-        chunk_addr,
-        clocks,
-        policy,
-        capture_witness,
-        ring,
-        log,
-        h,
-        on_transition,
-    );
-}
-
-/// The full Fig. 3 dispatch for one shared chunk — everything past the
-/// same-thread fast path, kept out of line so the steady state inlines
-/// into the batch loop.
-#[allow(clippy::too_many_arguments)]
-#[cold]
-#[inline(never)]
-fn shared_check_chunk_slow(
-    entry: &mut ShadowEntry,
-    a: &MemAccess,
-    chunk_addr: u32,
-    clocks: &ClockFile,
-    policy: &ShadowPolicy,
-    capture_witness: bool,
-    ring: &mut WitnessRing,
-    log: &mut RaceLog,
-    h: &mut DetectorHealth,
-    on_transition: &mut Option<TransitionSink<'_>>,
-) {
-    let mut chunk_access = *a;
-    chunk_access.addr = chunk_addr;
-    let state_before = entry.state();
-    let race = entry.observe_health(&chunk_access, clocks, policy, h);
-    let state_after = entry.state();
-    if let Some(cb) = on_transition.as_deref_mut() {
-        if state_after != state_before {
-            cb(chunk_addr, state_before, state_after);
-        }
-    }
-    if capture_witness && a.kind.is_tracked() {
-        ring.push(WitnessEvent {
-            cycle: a.cycle,
-            who: a.who,
-            pc: a.pc,
-            kind: a.kind,
-            addr: chunk_addr,
-            state_before,
-            state_after,
-        });
-    }
-    if let Some(r) = race {
-        if capture_witness {
-            log.push_with_witness(r, &ring.collect_for(chunk_addr));
-        } else {
-            log.push(r);
-        }
     }
 }
 
@@ -547,8 +268,25 @@ mod tests {
         let mut r = SharedRdu::new(0, 64, 16, Granularity::new(4).unwrap(), true, BloomConfig::PAPER_DEFAULT);
         let c = ClockFile::new(1, 1);
         let mut log = RaceLog::default();
-        // Address past the end must not panic.
-        r.observe(&acc(1 << 20, AccessKind::Write, 0, 0), &c, &mut log);
+        let mut h = DetectorHealth::default();
+        let mut scratch = RaceScratch::default();
+        // Addresses past the end — up to the last bytes of the address
+        // space, where `addr + size` overflows — must not panic, through
+        // either entry point.
+        for addr in [1 << 20, u32::MAX - 1, u32::MAX] {
+            let a = acc(addr, AccessKind::Write, 0, 0);
+            r.observe(&a, &c, &mut log);
+            r.check_warp_batch(&[a], true, &c, &mut scratch, &mut log, &mut h, None);
+        }
+        assert_eq!(log.total(), 0);
+        // A global heap ending at the top of the address space tracks its
+        // last word, wherever the access's bytes would run.
+        let top = u32::MAX - 63;
+        let mut g = crate::global_rdu::GlobalRdu::new(top, 64, 0x1000, Granularity::new(4).unwrap(), true, true, BloomConfig::PAPER_DEFAULT);
+        let last = MemAccess::plain(u32::MAX - 1, 4, AccessKind::Write, ThreadCoord::new(0, 0, 0, 0));
+        assert_eq!(g.observe(&last, &c, &mut log).reads, 1);
+        g.check_warp_batch(&[last], true, &c, &mut scratch, &mut log, &mut h, None, |t| assert_eq!(t.reads, 1));
+        assert_eq!(g.stats.checks, 2);
     }
 
     #[test]
@@ -643,7 +381,7 @@ mod tests {
             assert_eq!(slog.witness_of(k), blog.witness_of(k), "witness {k}");
         }
 
-        // Untraced: the same-thread fast path engages.
+        // Untraced: the wide tier engages.
         let mut scalar2 = rdu();
         let mut batch2 = rdu();
         let mut slog2 = RaceLog::default();

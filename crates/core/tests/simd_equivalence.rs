@@ -1,4 +1,4 @@
-//! Property test: the wide SWAR dispatch tier is observationally
+//! Property test: the wide dispatch tier is observationally
 //! identical to the forced-scalar reference path.
 //!
 //! Random same-page runs mix thread identities (same-warp neighbours,
